@@ -6,18 +6,11 @@ convergence-study harness."""
 from .estimators import (
     EstimateResult,
     LevelStats,
-    LevelTerm,
-    conditional_level_term_coupled,
-    conditional_level_term_single,
     evpi_mlmc,
     evpi_nested,
     evppi_mlmc,
     evppi_nested,
-    level_term_coupled,
-    level_term_single,
-    max_mean_payoff,
     nested_allocation,
-    pilot_level_profile,
 )
 from .experiment import (
     ESTIMATOR_NAMES,
@@ -42,16 +35,11 @@ from .gaussian import (
     evppi_from_moments,
     load_model_config,
     make_gaussian_model,
-    std_normal_cdf,
-    std_normal_pdf,
 )
 from .levels import (
     BudgetExhaustedError,
-    EmpiricalLevelProfile,
     LevelDistribution,
     draws_for_budget,
-    expected_cost_for_rmse,
-    optimal_level_pmf,
     optimal_ratio,
 )
 from .model import (
@@ -59,8 +47,6 @@ from .model import (
     FactoredSampler,
     PayoffEvaluationError,
     PriorSampler,
-    max_payoff,
-    payoff_vector,
 )
 from .rng import RngStream
 
@@ -75,14 +61,12 @@ __all__ = [
     "ConvergenceReport",
     "DecisionModel",
     "ESTIMATOR_NAMES",
-    "EmpiricalLevelProfile",
     "EstimateResult",
     "ExperimentPlan",
     "FactoredSampler",
     "GaussianLinearModel",
     "LevelDistribution",
     "LevelStats",
-    "LevelTerm",
     "PayoffEvaluationError",
     "PriorSampler",
     "ReplicateRecord",
@@ -90,31 +74,19 @@ __all__ = [
     "analytic_evpi",
     "analytic_evppi",
     "analytic_moments",
-    "conditional_level_term_coupled",
-    "conditional_level_term_single",
     "draws_for_budget",
     "evpi_mlmc",
     "evpi_nested",
     "evppi_from_moments",
     "evppi_mlmc",
     "evppi_nested",
-    "expected_cost_for_rmse",
     "fit_slope",
-    "level_term_coupled",
-    "level_term_single",
     "load_model_config",
     "make_gaussian_model",
-    "max_mean_payoff",
-    "max_payoff",
     "nested_allocation",
-    "optimal_level_pmf",
     "optimal_ratio",
-    "payoff_vector",
-    "pilot_level_profile",
     "render_csv",
     "run_plan",
-    "std_normal_cdf",
-    "std_normal_pdf",
     "summarize",
     "write_csv",
 ]

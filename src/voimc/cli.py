@@ -1,7 +1,8 @@
 """Command-line interface: one-shot estimates and full convergence studies.
 
-Exit codes: 0 on success, 2 on invalid arguments or configuration, 3 when
-every replication exhausted its budget before the first draw.
+Exit codes: 0 on success, 2 on invalid arguments or configuration or when one
+draw would need more memory than the per-draw bound allows, 3 when every
+replication exhausted its budget before the first draw.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             return _cmd_estimate(args)
         return _cmd_study(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AllReplicationsExhausted, BudgetExhaustedError) as exc:

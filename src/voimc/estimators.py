@@ -29,25 +29,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .levels import BudgetExhaustedError, EmpiricalLevelProfile, LevelDistribution, draws_for_budget
+from .levels import BudgetExhaustedError, LevelDistribution, draws_for_budget
 from .model import DecisionModel, FactoredSampler, PriorSampler
 from .rng import RngStream
 
 __all__ = [
-    "LevelTerm",
     "LevelStats",
     "EstimateResult",
-    "max_mean_payoff",
     "nested_allocation",
     "evpi_nested",
     "evppi_nested",
-    "level_term_single",
-    "level_term_coupled",
-    "conditional_level_term_single",
-    "conditional_level_term_coupled",
     "evpi_mlmc",
     "evppi_mlmc",
-    "pilot_level_profile",
 ]
 
 _VARIANTS = ("single", "coupled")
@@ -59,19 +52,13 @@ _BUDGET_RULES = ("expected", "prefix")
 # exhausting memory.
 _MAX_DRAW_BYTES = 2**30
 
+# Largest sample batch the nested estimators draw and evaluate at once.
+_NESTED_CHUNK = 65536
+
 
 # ---------------------------------------------------------------------------
 # results and running statistics
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LevelTerm:
-    """One realized level correction, probability weights included."""
-
-    level: int
-    value: float
-    cost: int
 
 
 @dataclass(frozen=True)
@@ -202,10 +189,18 @@ def _level_brackets(payoffs: np.ndarray, base: int, level: int) -> list[float]:
     return [tree[j - 1] - tree[j] for j in range(1, level + 1)]
 
 
-def _term_value(brackets: list[float], dist: LevelDistribution, variant: str) -> float:
-    """Apply probability weights to the brackets of one level-term draw."""
+def _level_term(
+    payoffs: np.ndarray, dist: LevelDistribution, level: int, variant: str
+) -> float:
+    """One probability-weighted level correction from base**level payoff rows.
+
+    The single term divides the scale-``level`` bracket by pmf(level); the
+    coupled sum adds the brackets at every scale j <= level, each divided by
+    the tail mass of the level law at j.
+    """
+    brackets = _level_brackets(payoffs, dist.base, level)
     if variant == "single":
-        return brackets[-1] / dist.pmf(len(brackets))
+        return brackets[-1] / dist.pmf(level)
     if variant == "coupled":
         # 1/tail(j) applied as (1/pmf(j)) * pmf(1), which is exact for the
         # geometric law and makes the level-1 coupled term bitwise equal to
@@ -216,22 +211,8 @@ def _term_value(brackets: list[float], dist: LevelDistribution, variant: str) ->
 
 
 # ---------------------------------------------------------------------------
-# plug-in statistics and nested estimators
+# nested estimators
 # ---------------------------------------------------------------------------
-
-
-def max_mean_payoff(model: DecisionModel, samples: np.ndarray) -> float:
-    """Best per-decision sample mean: the max of means, not the mean of maxes.
-
-    As the sample grows this converges from above (in expectation) to the best
-    expected payoff; with a single sample it is just that sample's best payoff.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim == 1:
-        samples = samples[:, None] if model.dimension == 1 else samples[None, :]
-    if samples.shape[0] < 1:
-        raise ValueError("need at least one sample")
-    return float(model.payoff_matrix(samples).mean(axis=0).max())
 
 
 def nested_allocation(budget: int, gamma: float = 1.0) -> tuple[int, int]:
@@ -262,13 +243,16 @@ def _accumulate_best_means(
     prior: PriorSampler,
     draws: int,
     rng: np.random.Generator,
-    chunk: int,
 ) -> float:
-    """max_d of the per-decision mean over ``draws`` prior samples, chunked."""
+    """max_d of the per-decision mean over ``draws`` prior samples, chunked.
+
+    The max of means, not the mean of maxes: it converges from above (in
+    expectation) to the best expected payoff.
+    """
     sums = np.zeros(model.n_decisions, dtype=np.float64)
     remaining = draws
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(_NESTED_CHUNK, remaining)
         sums += model.payoff_matrix(prior.draw(rng, m)).sum(axis=0)
         remaining -= m
     return float((sums / draws).max())
@@ -281,7 +265,6 @@ def evpi_nested(
     outer_draws: int,
     baseline_draws: int,
     rng: RngStream,
-    chunk: int = 65536,
 ) -> EstimateResult:
     """Plain two-sample estimator of the value of perfect information.
 
@@ -297,12 +280,12 @@ def evpi_nested(
     gen = rng.child(0).generator()
     remaining = outer_draws
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(_NESTED_CHUNK, remaining)
         payoffs = model.payoff_matrix(prior.draw(gen, m))
         moments.add_many(payoffs.max(axis=1))
         remaining -= m
     baseline = _accumulate_best_means(
-        model, prior, baseline_draws, rng.child(1).generator(), chunk
+        model, prior, baseline_draws, rng.child(1).generator()
     )
     return EstimateResult(
         estimate=float(moments.mean - baseline),
@@ -321,7 +304,6 @@ def evppi_nested(
     inner_draws: int,
     baseline_draws: int,
     rng: RngStream,
-    chunk: int = 65536,
 ) -> EstimateResult:
     """Nested estimator of the value of revealing the factored-out block.
 
@@ -340,99 +322,13 @@ def evppi_nested(
         payoffs = model.payoff_matrix(factored.combine(revealed[i - 1], hidden))
         moments.add(float(payoffs.mean(axis=0).max()))
     baseline = _accumulate_best_means(
-        model, prior, baseline_draws, rng.child(1).generator(), chunk
+        model, prior, baseline_draws, rng.child(1).generator()
     )
     return EstimateResult(
         estimate=float(moments.mean - baseline),
         n_draws=outer_draws,
         cost_used=outer_draws * inner_draws + baseline_draws,
         term_variance=moments.sample_variance,
-    )
-
-
-# ---------------------------------------------------------------------------
-# level correction terms
-# ---------------------------------------------------------------------------
-
-
-def level_term_single(
-    model: DecisionModel,
-    prior: PriorSampler,
-    level: int,
-    dist: LevelDistribution,
-    rng: np.random.Generator,
-) -> LevelTerm:
-    """One single-term correction draw for the perfect-information value.
-
-    Draws base**level fresh prior samples, compares the average best-of-block
-    mean at block size base**(level-1) against the best pooled mean over the
-    same samples, and divides by pmf(level).
-    """
-    n = dist.cost(level)
-    payoffs = model.payoff_matrix(prior.draw(rng, n))
-    brackets = _level_brackets(payoffs, dist.base, level)
-    return LevelTerm(level=level, value=brackets[-1] / dist.pmf(level), cost=n)
-
-
-def level_term_coupled(
-    model: DecisionModel,
-    prior: PriorSampler,
-    level: int,
-    dist: LevelDistribution,
-    rng: np.random.Generator,
-) -> LevelTerm:
-    """One coupled-sum correction draw for the perfect-information value.
-
-    Same base**level samples as the single term, but sums the brackets at
-    every scale j <= level, each weighted by the reciprocal tail mass of the
-    level law at j.
-    """
-    n = dist.cost(level)
-    payoffs = model.payoff_matrix(prior.draw(rng, n))
-    brackets = _level_brackets(payoffs, dist.base, level)
-    return LevelTerm(
-        level=level, value=_term_value(brackets, dist, "coupled"), cost=n
-    )
-
-
-def conditional_level_term_single(
-    model: DecisionModel,
-    factored: FactoredSampler,
-    revealed_values: np.ndarray,
-    level: int,
-    dist: LevelDistribution,
-    rng: np.random.Generator,
-) -> LevelTerm:
-    """Single-term correction draw conditioned on one revealed block.
-
-    Identical block structure to `level_term_single`, with the base**level
-    samples drawn from the conditional law of the hidden block given
-    ``revealed_values``.  Averaged over revealed draws these terms estimate
-    the gap between the perfect-information value and the revealed-block
-    value.
-    """
-    n = dist.cost(level)
-    hidden = factored.draw_conditional(revealed_values, rng, n)
-    payoffs = model.payoff_matrix(factored.combine(revealed_values, hidden))
-    brackets = _level_brackets(payoffs, dist.base, level)
-    return LevelTerm(level=level, value=brackets[-1] / dist.pmf(level), cost=n)
-
-
-def conditional_level_term_coupled(
-    model: DecisionModel,
-    factored: FactoredSampler,
-    revealed_values: np.ndarray,
-    level: int,
-    dist: LevelDistribution,
-    rng: np.random.Generator,
-) -> LevelTerm:
-    """Coupled-sum correction draw conditioned on one revealed block."""
-    n = dist.cost(level)
-    hidden = factored.draw_conditional(revealed_values, rng, n)
-    payoffs = model.payoff_matrix(factored.combine(revealed_values, hidden))
-    brackets = _level_brackets(payoffs, dist.base, level)
-    return LevelTerm(
-        level=level, value=_term_value(brackets, dist, "coupled"), cost=n
     )
 
 
@@ -556,11 +452,12 @@ def evpi_mlmc(
     cost_used = 0
     for i, level in enumerate(levels, start=1):
         gen = rng.child(i).generator()
-        payoffs = model.payoff_matrix(prior.draw(gen, dist.cost(level)))
-        value = _term_value(_level_brackets(payoffs, dist.base, level), dist, variant)
+        n = dist.cost(level)
+        payoffs = model.payoff_matrix(prior.draw(gen, n))
+        value = _level_term(payoffs, dist, level, variant)
         moments.add(value)
         per_level.setdefault(level, _RunningMoments()).add(value)
-        cost_used += dist.cost(level)
+        cost_used += n
     return EstimateResult(
         estimate=float(moments.mean),
         n_draws=len(levels),
@@ -568,30 +465,6 @@ def evpi_mlmc(
         term_variance=moments.sample_variance,
         per_level=_freeze_levels(per_level),
     )
-
-
-def _paired_levels_for_budget(
-    dist: LevelDistribution,
-    budget: int,
-    rng_first: np.random.Generator,
-    rng_second: np.random.Generator,
-) -> list[tuple[int, int]]:
-    """Prefix rule over independent level pairs costing base**l1 + base**l2."""
-    if budget < 2 * dist.cost(1):
-        raise ValueError(f"budget must be at least 2*base = {2 * dist.cost(1)}")
-    pairs: list[tuple[int, int]] = []
-    total = 0
-    for first, second in zip(dist.stream(rng_first), dist.stream(rng_second)):
-        cost = dist.cost(first) + dist.cost(second)
-        if total + cost > budget:
-            break
-        pairs.append((first, second))
-        total += cost
-    if not pairs:
-        raise BudgetExhaustedError(
-            f"first drawn level pair does not fit within budget {budget}"
-        )
-    return pairs
 
 
 def evppi_mlmc(
@@ -602,7 +475,6 @@ def evppi_mlmc(
     budget: int,
     variant_y: str = "coupled",
     variant_z: str = "coupled",
-    shared_level: bool = True,
     *,
     rng: RngStream,
     budget_rule: str = "expected",
@@ -612,10 +484,9 @@ def evppi_mlmc(
     Each draw combines a perfect-information correction term (from fresh prior
     samples) minus a conditional correction term (from a fresh revealed-block
     sample and conditional samples); the difference targets the revealed-block
-    value directly.  With ``shared_level`` one random level serves both parts
-    of a draw, otherwise the parts get independent levels.  Either way a draw
-    pays both parts' evaluations, and ``budget_rule`` spends ``budget`` as in
-    `evpi_mlmc` applied to that per-draw cost:
+    value directly.  One random level serves both parts of a draw, so a draw
+    pays twice that level's evaluations, and ``budget_rule`` spends ``budget``
+    as in `evpi_mlmc` applied to that per-draw cost:
 
     * ``"expected"`` (default): floor(budget / (2 * ``dist.expected_cost()``))
       draws with uncapped levels; unbiased, with ``budget`` bounding only the
@@ -628,91 +499,36 @@ def evppi_mlmc(
     Raises MemoryError before sampling when one draw would need more than
     2**30 bytes of samples (base**level * dimension * 8).
 
-    ``per_level`` in the result is keyed by the perfect-information part's
-    level.
+    ``per_level`` in the result is keyed by the draw's level.
     """
     for name, variant in (("variant_y", variant_y), ("variant_z", variant_z)):
         if variant not in _VARIANTS:
             raise ValueError(f"{name} must be one of {_VARIANTS}, got {variant!r}")
     _check_budget_rule(budget_rule)
-    if shared_level:
-        levels = _levels_for_budget(
-            dist, budget, budget_rule, 2, rng.child(0).generator()
-        )
-        pairs = [(level, level) for level in levels]
-    elif budget_rule == "expected":
-        levels_y, levels_z = (
-            _levels_for_budget(
-                dist, budget, budget_rule, 2, rng.child(0, part).generator()
-            )
-            for part in (0, 1)
-        )
-        pairs = list(zip(levels_y, levels_z))
-    else:
-        pairs = _paired_levels_for_budget(
-            dist, budget, rng.child(0, 0).generator(), rng.child(0, 1).generator()
-        )
-    _check_draw_memory(dist, max(max(pair) for pair in pairs), model.dimension)
+    levels = _levels_for_budget(
+        dist, budget, budget_rule, 2, rng.child(0).generator()
+    )
+    _check_draw_memory(dist, max(levels), model.dimension)
     moments = _RunningMoments()
     per_level: dict[int, _RunningMoments] = {}
     cost_used = 0
-    for i, (level_y, level_z) in enumerate(pairs, start=1):
+    for i, level in enumerate(levels, start=1):
         gen = rng.child(i).generator()
-        payoffs = model.payoff_matrix(prior.draw(gen, dist.cost(level_y)))
-        value_y = _term_value(
-            _level_brackets(payoffs, dist.base, level_y), dist, variant_y
-        )
+        n = dist.cost(level)
+        payoffs = model.payoff_matrix(prior.draw(gen, n))
+        value_y = _level_term(payoffs, dist, level, variant_y)
         revealed_values = factored.draw_marginal(gen, 1)[0]
-        hidden = factored.draw_conditional(revealed_values, gen, dist.cost(level_z))
-        payoffs_z = model.payoff_matrix(factored.combine(revealed_values, hidden))
-        value_z = _term_value(
-            _level_brackets(payoffs_z, dist.base, level_z), dist, variant_z
-        )
-        term = value_y - value_z
+        hidden = factored.draw_conditional(revealed_values, gen, n)
+        payoffs = model.payoff_matrix(factored.combine(revealed_values, hidden))
+        term = value_y - _level_term(payoffs, dist, level, variant_z)
         moments.add(term)
-        per_level.setdefault(level_y, _RunningMoments()).add(term)
-        cost_used += dist.cost(level_y) + dist.cost(level_z)
+        per_level.setdefault(level, _RunningMoments()).add(term)
+        cost_used += 2 * n
     return EstimateResult(
         estimate=float(moments.mean),
-        n_draws=len(pairs),
+        n_draws=len(levels),
         cost_used=cost_used,
         term_variance=moments.sample_variance,
         per_level=_freeze_levels(per_level),
     )
 
-
-# ---------------------------------------------------------------------------
-# pilot profiling
-# ---------------------------------------------------------------------------
-
-
-def pilot_level_profile(
-    model: DecisionModel,
-    prior: PriorSampler,
-    base: int,
-    rng: RngStream,
-    levels: tuple[int, ...] = (1, 2, 3, 4, 5, 6),
-    draws_per_level: int = 1000,
-) -> EmpiricalLevelProfile:
-    """Estimate per-level second moments of the unweighted correction brackets.
-
-    Runs a fixed-size pilot at each requested level; the resulting profile
-    feeds `optimal_level_pmf` and `expected_cost_for_rmse` when choosing a
-    level law empirically rather than from an assumed decay exponent.
-    """
-    if draws_per_level < 1:
-        raise ValueError("draws_per_level must be >= 1")
-    second_moments: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for level in sorted(set(int(l) for l in levels)):
-        if level < 1:
-            raise ValueError("levels must be positive integers")
-        gen = rng.child(level).generator()
-        total_sq = 0.0
-        for _ in range(draws_per_level):
-            payoffs = model.payoff_matrix(prior.draw(gen, base**level))
-            bracket = _level_brackets(payoffs, base, level)[-1]
-            total_sq += bracket * bracket
-        second_moments[level] = total_sq / draws_per_level
-        counts[level] = draws_per_level
-    return EmpiricalLevelProfile(second_moments=second_moments, counts=counts)

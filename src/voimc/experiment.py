@@ -89,6 +89,9 @@ class ExperimentPlan:
             raise ValueError("budgets must be strictly increasing")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        # checked for every estimator, so a bad level law fails before any
+        # worker starts or any CSV is written
+        LevelDistribution(self.base, self.level_ratio)
 
     @property
     def level_ratio(self) -> float:
@@ -240,7 +243,6 @@ def run_replication(task: _ReplicationTask) -> ReplicateRecord:
                     task.budget,
                     variant_y=variant,
                     variant_z=variant,
-                    shared_level=True,
                     rng=stream,
                     budget_rule="prefix",
                 )
@@ -285,10 +287,15 @@ def _resolve_model(plan: ExperimentPlan):
 
 
 def run_plan(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
-    """Execute a plan; deterministic for a fixed seed at any worker count."""
+    """Execute a plan; deterministic for a fixed seed at any worker count.
+
+    Raises ValueError when ``workers`` is below 1.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     config, subset, truth = _resolve_model(plan)
     tasks = _plan_tasks(plan, config, subset)
-    if workers <= 1:
+    if workers == 1:
         outcomes = [run_replication(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

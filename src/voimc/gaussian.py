@@ -35,8 +35,6 @@ __all__ = [
     "GaussianLinearModel",
     "AnalyticMoments",
     "ConfigError",
-    "std_normal_cdf",
-    "std_normal_pdf",
     "make_gaussian_model",
     "analytic_moments",
     "evppi_from_moments",
@@ -53,18 +51,6 @@ _U_FLOOR = 1e-300
 
 class ConfigError(ValueError):
     """A model configuration file is malformed."""
-
-
-def std_normal_cdf(z):
-    """Standard normal distribution function, double-precision accurate."""
-    return ndtr(z)
-
-
-def std_normal_pdf(z):
-    """Standard normal density."""
-    z = np.asarray(z, dtype=np.float64)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -138,17 +124,11 @@ def make_gaussian_model(
     sd = np.asarray(config.stds, dtype=np.float64)
     w0 = float(config.intercept)
 
-    def linear_payoff(decision, x):
-        return w0 + float(np.dot(w, x)) if decision == "linear" else 0.0
-
-    def batch_payoff(xs):
+    def payoff(xs):
         return np.column_stack((xs @ w + w0, np.zeros(xs.shape[0])))
 
     model = DecisionModel(
-        decisions=("linear", "baseline"),
-        payoff=linear_payoff,
-        dimension=config.dimension,
-        batch_payoff=batch_payoff,
+        decisions=("linear", "baseline"), payoff=payoff, dimension=config.dimension
     )
 
     prior = PriorSampler(
@@ -197,9 +177,10 @@ def evppi_from_moments(mean_total: float, std_revealed: float) -> float:
     if std_revealed == 0.0:
         return 0.0
     z = -mean_total / std_revealed
+    pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
     if mean_total > 0.0:
-        return float(std_normal_pdf(z) * std_revealed - ndtr(z) * mean_total)
-    return float(std_normal_pdf(z) * std_revealed + ndtr(-z) * mean_total)
+        return float(pdf * std_revealed - ndtr(z) * mean_total)
+    return float(pdf * std_revealed + ndtr(-z) * mean_total)
 
 
 def analytic_evppi(config: GaussianLinearModel, revealed) -> float:

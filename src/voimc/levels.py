@@ -12,21 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "LevelDistribution",
-    "EmpiricalLevelProfile",
     "BudgetExhaustedError",
     "optimal_ratio",
-    "optimal_level_pmf",
-    "expected_cost_for_rmse",
     "draws_for_budget",
 ]
 
-_CHUNK = 256  # levels drawn per batch when streaming
+# Levels `draws_for_budget` draws per `sample_levels` call.  Any block size
+# consumes the same uniforms in the same order, so it does not change the
+# prefix; it only bounds the uniforms drawn past the stopping point.
+_LEVEL_BLOCK = 256
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -74,30 +73,14 @@ class LevelDistribution:
         """Mean evaluations per draw: (1-ratio)*base / (1 - ratio*base)."""
         return (1.0 - self.ratio) * self.base / (1.0 - self.ratio * self.base)
 
-    def level_from_uniform(self, u: float) -> int:
-        """Inverse-CDF map from one uniform variate to a level.
-
-        ceil(log(1-u)/log(ratio)), floored at 1; u = 0 maps to level 1.
-        """
-        if not 0.0 <= u < 1.0:
-            raise ValueError("u must lie in [0, 1)")
-        return max(1, math.ceil(math.log1p(-u) / math.log(self.ratio)))
-
-    def sample_level(self, rng: np.random.Generator) -> int:
-        """One level, by closed-form inversion of a single uniform."""
-        return self.level_from_uniform(rng.random())
-
     def sample_levels(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Vectorized ``sample_level``; same inversion, one uniform per level."""
+        """``size`` i.i.d. levels, by closed-form inversion of one uniform each.
+
+        Level = ceil(log(1-u)/log(ratio)), floored at 1; u = 0 maps to level 1.
+        """
         u = rng.random(size)
         raw = np.ceil(np.log1p(-u) / math.log(self.ratio))
         return np.maximum(raw, 1.0).astype(np.int64)
-
-    def stream(self, rng: np.random.Generator) -> Iterator[int]:
-        """Endless i.i.d. level stream, drawn in fixed-size batches."""
-        while True:
-            for lvl in self.sample_levels(rng, _CHUNK):
-                yield int(lvl)
 
     @staticmethod
     def _check_level(level: int) -> None:
@@ -123,69 +106,6 @@ def optimal_ratio(base: int, decay: float) -> float:
     return float(base) ** (-(2.0 * decay + 1.0) / 2.0)
 
 
-@dataclass(frozen=True)
-class EmpiricalLevelProfile:
-    """Pilot estimates of per-level second moments of unweighted corrections.
-
-    ``second_moments[l]`` estimates the mean squared level-l correction before
-    any probability weighting; ``counts[l]`` is the pilot sample size behind it.
-    """
-
-    second_moments: dict[int, float]
-    counts: dict[int, int]
-
-    def __post_init__(self) -> None:
-        if not self.second_moments:
-            raise ValueError("profile must cover at least one level")
-        if set(self.second_moments) != set(self.counts):
-            raise ValueError("second_moments and counts must cover the same levels")
-        if any(lvl < 1 for lvl in self.second_moments):
-            raise ValueError("levels must be positive integers")
-        if any(v < 0 or not math.isfinite(v) for v in self.second_moments.values()):
-            raise ValueError("second moments must be finite and non-negative")
-
-    @property
-    def levels(self) -> tuple[int, ...]:
-        return tuple(sorted(self.second_moments))
-
-
-def optimal_level_pmf(profile: EmpiricalLevelProfile, base: int) -> dict[int, float]:
-    """Cost-aware level weights, p(l) proportional to sqrt(moment(l) / base**l).
-
-    The support is truncated to the profiled levels (the infinite-support
-    optimum is unobservable) and the weights are normalized over them.
-    """
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    weights = {
-        lvl: math.sqrt(profile.second_moments[lvl] / float(base) ** lvl)
-        for lvl in profile.levels
-    }
-    total = sum(weights.values())
-    if total == 0.0:
-        raise ValueError("degenerate profile: all second moments are zero")
-    return {lvl: w / total for lvl, w in weights.items()}
-
-
-def expected_cost_for_rmse(
-    profile: EmpiricalLevelProfile, base: int, epsilon: float
-) -> float:
-    """Expected total cost to reach root-mean-square error ``epsilon``.
-
-    epsilon**-2 * (sum_l sqrt(moment(l) * base**l))**2 over the profiled
-    levels, i.e. under the cost-optimal weights of ``optimal_level_pmf``.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    total = sum(
-        math.sqrt(profile.second_moments[lvl] * float(base) ** lvl)
-        for lvl in profile.levels
-    )
-    return epsilon**-2 * total**2
-
-
 def draws_for_budget(
     dist: LevelDistribution, budget: int, rng: np.random.Generator
 ) -> tuple[list[int], int]:
@@ -201,10 +121,10 @@ def draws_for_budget(
         raise ValueError("budget must be a positive integer")
     levels: list[int] = []
     total = 0
-    for lvl in dist.stream(rng):
-        cost = dist.cost(lvl)
-        if total + cost > budget:
-            break
-        levels.append(lvl)
-        total += cost
-    return levels, len(levels)
+    while True:
+        for lvl in dist.sample_levels(rng, _LEVEL_BLOCK).tolist():
+            cost = dist.cost(lvl)
+            if total + cost > budget:
+                return levels, len(levels)
+            levels.append(lvl)
+            total += cost

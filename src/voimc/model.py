@@ -24,8 +24,6 @@ __all__ = [
     "PriorSampler",
     "FactoredSampler",
     "PayoffEvaluationError",
-    "payoff_vector",
-    "max_payoff",
 ]
 
 
@@ -35,20 +33,18 @@ class PayoffEvaluationError(ValueError):
 
 @dataclass(frozen=True)
 class DecisionModel:
-    """A finite decision set with one payoff function per decision.
+    """A finite decision set with a vectorized payoff.
 
     Args:
         decisions: ordered, non-empty, duplicate-free decision labels.
-        payoff: (decision, x) -> monetary value for a single parameter vector.
+        payoff: (n, dimension) parameter rows -> (n, len(decisions)) payoffs,
+            column j holding the payoff of ``decisions[j]``.
         dimension: length of the parameter vector.
-        batch_payoff: optional vectorized form, (n, dimension) -> (n, len(decisions));
-            used by the estimators when present, otherwise ``payoff`` is looped.
     """
 
     decisions: tuple
-    payoff: Callable[[object, np.ndarray], float]
+    payoff: Callable[[np.ndarray], np.ndarray]
     dimension: int
-    batch_payoff: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if len(self.decisions) == 0:
@@ -73,17 +69,12 @@ class DecisionModel:
             raise ValueError(
                 f"expected samples of shape (n, {self.dimension}), got {xs.shape}"
             )
-        if self.batch_payoff is not None:
-            out = np.asarray(self.batch_payoff(xs), dtype=np.float64)
-            if out.shape != (xs.shape[0], self.n_decisions):
-                raise ValueError(
-                    f"batch_payoff returned shape {out.shape}, expected "
-                    f"{(xs.shape[0], self.n_decisions)}"
-                )
-        else:
-            out = np.empty((xs.shape[0], self.n_decisions), dtype=np.float64)
-            for j, decision in enumerate(self.decisions):
-                out[:, j] = [float(self.payoff(decision, x)) for x in xs]
+        out = np.asarray(self.payoff(xs), dtype=np.float64)
+        if out.shape != (xs.shape[0], self.n_decisions):
+            raise ValueError(
+                f"payoff returned shape {out.shape}, expected "
+                f"{(xs.shape[0], self.n_decisions)}"
+            )
         if not np.isfinite(out).all():
             i, j = np.argwhere(~np.isfinite(out))[0]
             raise PayoffEvaluationError(
@@ -91,24 +82,6 @@ class DecisionModel:
                 f"at x={xs[i].tolist()}"
             )
         return out
-
-
-def payoff_vector(model: DecisionModel, x: np.ndarray) -> np.ndarray:
-    """All decision payoffs at a single point, in decision order."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dimension,):
-        raise ValueError(f"expected x of shape ({model.dimension},), got {x.shape}")
-    return model.payoff_matrix(x[None, :])[0]
-
-
-def max_payoff(model: DecisionModel, x: np.ndarray) -> tuple[float, object]:
-    """Best payoff at a point and the decision attaining it.
-
-    Ties go to the decision appearing first in ``model.decisions``.
-    """
-    values = payoff_vector(model, x)
-    best = int(np.argmax(values))  # argmax returns the first maximal index
-    return float(values[best]), model.decisions[best]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from voimc import DecisionModel, GaussianLinearModel, PriorSampler
+from voimc.estimators import _level_term
 
 _PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -29,9 +30,8 @@ def single_decision_model(dimension: int = 5) -> DecisionModel:
     """One decision whose payoff is the coordinate sum."""
     return DecisionModel(
         decisions=("only",),
-        payoff=lambda _d, x: float(np.sum(x)),
+        payoff=lambda xs: xs.sum(axis=1, keepdims=True),
         dimension=dimension,
-        batch_payoff=lambda xs: xs.sum(axis=1, keepdims=True),
     )
 
 
@@ -42,9 +42,8 @@ def constant_model(values=(3.0, 1.0), dimension: int = 5) -> DecisionModel:
     arr = np.asarray(values)
     return DecisionModel(
         decisions=labels,
-        payoff=lambda d, _x: values[labels.index(d)],
+        payoff=lambda xs: np.broadcast_to(arr, (xs.shape[0], len(values))).copy(),
         dimension=dimension,
-        batch_payoff=lambda xs: np.broadcast_to(arr, (xs.shape[0], len(values))).copy(),
     )
 
 
@@ -63,6 +62,23 @@ class DrawCounter:
             return self.inner.draw(rng, size)
 
         return PriorSampler(dimension=self.inner.dimension, draw_fn=counted)
+
+
+def prior_term(model, prior, level: int, dist, gen, variant: str) -> float:
+    """One perfect-information level term, sampled as `evpi_mlmc` samples it:
+    base**level fresh prior rows from ``gen``, then `_level_term`."""
+    payoffs = model.payoff_matrix(prior.draw(gen, dist.cost(level)))
+    return _level_term(payoffs, dist, level, variant)
+
+
+def conditional_term(
+    model, factored, revealed_values, level: int, dist, gen, variant: str
+) -> float:
+    """One conditional level term given a revealed block, sampled as
+    `evppi_mlmc` samples it: base**level conditional rows from ``gen``."""
+    hidden = factored.draw_conditional(revealed_values, gen, dist.cost(level))
+    payoffs = model.payoff_matrix(factored.combine(revealed_values, hidden))
+    return _level_term(payoffs, dist, level, variant)
 
 
 # ---------------------------------------------------------------------------

@@ -35,13 +35,9 @@ from voimc import (
     RngStream,
     analytic_evpi,
     analytic_evppi,
-    conditional_level_term_coupled,
-    conditional_level_term_single,
     draws_for_budget,
     evpi_mlmc,
     evppi_mlmc,
-    level_term_coupled,
-    level_term_single,
     make_gaussian_model,
     optimal_ratio,
     run_plan,
@@ -52,8 +48,10 @@ from support import (
     TIE_CONFIG,
     budget_rule_mean,
     conditional_correction_mean,
+    conditional_term,
     constant_model,
     level_correction_mean,
+    prior_term,
     single_decision_model,
     weighted_level_mean,
 )
@@ -116,7 +114,6 @@ def _replication_mean(estimator: str, reps: int, budget: int, seed: int):
                     budget,
                     variant_y=variant,
                     variant_z=variant,
-                    shared_level=True,
                     rng=stream,
                 )
             values.append(r.estimate)
@@ -166,19 +163,15 @@ def test_criterion_03_degenerate_exactness():
             gen = RngStream(3000, (seed,)).generator()
             values = []
             for level in range(1, 7):
-                values.append(level_term_single(model, prior, level, DIST, gen).value)
-                values.append(level_term_coupled(model, prior, level, DIST, gen).value)
+                values.append(prior_term(model, prior, level, DIST, gen, "single"))
+                values.append(prior_term(model, prior, level, DIST, gen, "coupled"))
                 revealed = factored.draw_marginal(gen, 1)[0]
-                values.append(
-                    conditional_level_term_single(
-                        model, factored, revealed, level, DIST, gen
-                    ).value
-                )
-                values.append(
-                    conditional_level_term_coupled(
-                        model, factored, revealed, level, DIST, gen
-                    ).value
-                )
+                for variant in ("single", "coupled"):
+                    values.append(
+                        conditional_term(
+                            model, factored, revealed, level, DIST, gen, variant
+                        )
+                    )
             stream = RngStream(3100, (seed,))
             try:
                 values.append(evpi_mlmc(model, prior, DIST, 64, "single", stream).estimate)
@@ -207,18 +200,18 @@ def test_criterion_04_level_one_coupling_identity():
     failures = 0
     for seed in range(1000):
         stream = RngStream(4000, (seed,))
-        single = level_term_single(model, prior, 1, DIST, stream.generator())
-        coupled = level_term_coupled(model, prior, 1, DIST, stream.generator())
-        if coupled.value != p1 * single.value:
+        single = prior_term(model, prior, 1, DIST, stream.generator(), "single")
+        coupled = prior_term(model, prior, 1, DIST, stream.generator(), "coupled")
+        if coupled != p1 * single:
             failures += 1
         revealed = factored.draw_marginal(stream.child(0).generator(), 1)[0]
-        z_single = conditional_level_term_single(
-            model, factored, revealed, 1, DIST, stream.child(1).generator()
+        z_single = conditional_term(
+            model, factored, revealed, 1, DIST, stream.child(1).generator(), "single"
         )
-        z_coupled = conditional_level_term_coupled(
-            model, factored, revealed, 1, DIST, stream.child(1).generator()
+        z_coupled = conditional_term(
+            model, factored, revealed, 1, DIST, stream.child(1).generator(), "coupled"
         )
-        if z_coupled.value != p1 * z_single.value:
+        if z_coupled != p1 * z_single:
             failures += 1
     ok = failures == 0
     detail = f"2000 shared-sample identities, {failures} bitwise mismatches"
@@ -262,7 +255,7 @@ def test_criterion_05_telescoping_identity():
         vals = np.empty(reps)
         pmf = DIST.pmf(level)
         for k in range(reps):
-            vals[k] = pmf * level_term_single(model, prior, level, DIST, gen).value
+            vals[k] = pmf * prior_term(model, prior, level, DIST, gen, "single")
         lhs, lhs_se = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps))
         (lo_mean, lo_se) = direct[2 ** (level - 1)]
         (hi_mean, hi_se) = direct[2**level]

@@ -161,6 +161,46 @@ def test_budget_exhausted_exits_three(benchmark_model_path, capsys):
     pytest.fail("no exhausting seed found in 60 tries")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # every level costs at least 2**26 rows of 5 coordinates, above the
+        # per-draw memory bound, so the run is refused before sampling
+        [
+            "estimate",
+            "--estimator",
+            "evpi-coupled",
+            "--budget",
+            "268435456",
+            "--b",
+            "67108864",
+            "--r",
+            "1e-8",
+        ],
+        [
+            "study",
+            "--estimator",
+            "evpi-nested",
+            "--budgets",
+            "16",
+            "--reps",
+            "1",
+            "--workers",
+            "0",
+        ],
+        # ratio * base >= 1 is no level law, even for a nested estimator
+        ["study", "--estimator", "evpi-nested", "--budgets", "16", "--r", "0.9"],
+    ],
+    ids=["oversized-level", "workers-0", "ratio-0.9"],
+)
+def test_refused_run_exits_two_without_output(args, benchmark_model_path, capsys, tmp_path):
+    out = tmp_path / "out.csv"
+    code = main(args + ["--model", benchmark_model_path, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_study_stdout_when_no_out(benchmark_model_path, capsys):
     code = main(
         [

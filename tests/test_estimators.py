@@ -11,20 +11,15 @@ from voimc import (
     RngStream,
     analytic_evpi,
     analytic_evppi,
-    conditional_level_term_coupled,
-    conditional_level_term_single,
     evpi_mlmc,
     evpi_nested,
     evppi_mlmc,
     evppi_nested,
-    level_term_coupled,
-    level_term_single,
     make_gaussian_model,
-    max_mean_payoff,
     nested_allocation,
     optimal_ratio,
-    pilot_level_profile,
 )
+from voimc.estimators import _accumulate_best_means, _level_term
 
 from support import (
     OFFSET_CONFIG,
@@ -33,9 +28,11 @@ from support import (
     budget_rule_mean,
     conditional_correction_mean,
     conditional_plugin_mean,
+    conditional_term,
     constant_model,
     level_correction_mean,
     plugin_mean,
+    prior_term,
     single_decision_model,
     weighted_level_mean,
 )
@@ -88,27 +85,40 @@ def _collect(run, reps: int) -> np.ndarray:
 
 
 class TestMaxMeanPayoff:
+    """The nested estimators' baseline term: the best per-decision mean."""
+
     def test_max_of_means_not_mean_of_maxes(self, tie_setup):
         model, _, _ = tie_setup
         samples = np.array([[1, 1, 1, 1, 1], [-3, -1, -1, -1, -1]], dtype=float)
         # per-decision means are (-1, 0); the mean of per-sample maxima is 2.5
-        assert max_mean_payoff(model, samples) == 0.0
+        gen = RngStream(0).generator()
+        assert _accumulate_best_means(model, fixed_prior(samples), 2, gen) == 0.0
 
     def test_single_decision_is_plain_mean(self):
         model = single_decision_model(dimension=1)
-        assert max_mean_payoff(model, np.array([[2.0], [4.0]])) == 3.0
+        samples = fixed_prior(np.array([[2.0], [4.0]]))
+        assert _accumulate_best_means(model, samples, 2, RngStream(0).generator()) == 3.0
 
     def test_one_sample_reduces_to_best_payoff(self, tie_setup):
         model, prior, _ = tie_setup
         x = prior.draw(RngStream(14).generator(), 1)
-        from voimc import max_payoff
-
-        assert max_mean_payoff(model, x) == max_payoff(model, x[0])[0]
+        best = _accumulate_best_means(model, prior, 1, RngStream(14).generator())
+        assert best == model.payoff_matrix(x)[0].max()
 
     def test_empty_rejected(self, tie_setup):
-        model, _, _ = tie_setup
+        model, prior, factored = tie_setup
         with pytest.raises(ValueError):
-            max_mean_payoff(model, np.zeros((0, 5)))
+            evpi_nested(model, prior, outer_draws=1, baseline_draws=0, rng=RngStream(0))
+        with pytest.raises(ValueError):
+            evppi_nested(
+                model,
+                factored,
+                prior,
+                outer_draws=1,
+                inner_draws=1,
+                baseline_draws=0,
+                rng=RngStream(0),
+            )
 
 
 class TestNestedAllocation:
@@ -265,16 +275,18 @@ class TestLevelTermsAgainstExplicitReference:
         dist = LevelDistribution(base, optimal_ratio(base, 1))
         samples = prior.draw(RngStream(20, (base, level)).generator(), base**level)
         payoffs = model.payoff_matrix(samples)
-        stub = fixed_prior(samples)
-        single = level_term_single(model, stub, level, dist, RngStream(0).generator())
-        coupled = level_term_coupled(model, stub, level, dist, RngStream(0).generator())
-        assert single.value == pytest.approx(
+        single = _level_term(payoffs, dist, level, "single")
+        coupled = _level_term(payoffs, dist, level, "coupled")
+        assert single == pytest.approx(
             self._reference_single(payoffs, base, level, dist), rel=1e-12, abs=1e-13
         )
-        assert coupled.value == pytest.approx(
+        assert coupled == pytest.approx(
             self._reference_coupled(payoffs, base, level, dist), rel=1e-12, abs=1e-13
         )
-        assert single.cost == coupled.cost == base**level
+        # a level-l term consumes exactly base**l rows
+        for variant in ("single", "coupled"):
+            with pytest.raises(ValueError):
+                _level_term(payoffs[1:], dist, level, variant)
 
     def test_conditional_terms_match_reference(self, tie_setup):
         model, prior, _ = tie_setup
@@ -285,16 +297,16 @@ class TestLevelTermsAgainstExplicitReference:
         payoffs = model.payoff_matrix(
             np.hstack([np.full((base**level, 1), 0.7), hidden])
         )
-        single = conditional_level_term_single(
-            model, stub, revealed_value, level, DIST, RngStream(0).generator()
+        single = conditional_term(
+            model, stub, revealed_value, level, DIST, RngStream(0).generator(), "single"
         )
-        coupled = conditional_level_term_coupled(
-            model, stub, revealed_value, level, DIST, RngStream(0).generator()
+        coupled = conditional_term(
+            model, stub, revealed_value, level, DIST, RngStream(0).generator(), "coupled"
         )
-        assert single.value == pytest.approx(
+        assert single == pytest.approx(
             self._reference_single(payoffs, base, level, DIST), rel=1e-12, abs=1e-13
         )
-        assert coupled.value == pytest.approx(
+        assert coupled == pytest.approx(
             self._reference_coupled(payoffs, base, level, DIST), rel=1e-12, abs=1e-13
         )
 
@@ -308,8 +320,8 @@ class TestDegenerateExactness:
         for seed in range(50):
             gen = RngStream(30, (seed,)).generator()
             for level in range(1, 5):
-                assert level_term_single(model, prior, level, dist, gen).value == 0.0
-                assert level_term_coupled(model, prior, level, dist, gen).value == 0.0
+                assert prior_term(model, prior, level, dist, gen, "single") == 0.0
+                assert prior_term(model, prior, level, dist, gen, "coupled") == 0.0
 
     @pytest.mark.parametrize("base", [2, 3])
     def test_constant_payoff_terms_vanish_bitwise(self, base):
@@ -321,8 +333,8 @@ class TestDegenerateExactness:
         for seed in range(50):
             gen = RngStream(31, (seed,)).generator()
             for level in range(1, 5):
-                assert level_term_single(model, prior, level, dist, gen).value == 0.0
-                assert level_term_coupled(model, prior, level, dist, gen).value == 0.0
+                assert prior_term(model, prior, level, dist, gen, "single") == 0.0
+                assert prior_term(model, prior, level, dist, gen, "coupled") == 0.0
 
     def test_full_reveal_conditional_terms_vanish_bitwise(self, tie_setup):
         model, _, _ = tie_setup
@@ -331,18 +343,13 @@ class TestDegenerateExactness:
             gen = RngStream(32, (seed,)).generator()
             revealed = factored.draw_marginal(gen, 1)[0]
             for level in (1, 2, 3):
-                assert (
-                    conditional_level_term_single(
-                        model, factored, revealed, level, DIST, gen
-                    ).value
-                    == 0.0
-                )
-                assert (
-                    conditional_level_term_coupled(
-                        model, factored, revealed, level, DIST, gen
-                    ).value
-                    == 0.0
-                )
+                for variant in ("single", "coupled"):
+                    assert (
+                        conditional_term(
+                            model, factored, revealed, level, DIST, gen, variant
+                        )
+                        == 0.0
+                    )
 
 
 class TestPointwiseSign:
@@ -352,16 +359,15 @@ class TestPointwiseSign:
         model, prior, _ = tie_setup
         for seed in range(10_000):
             gen = RngStream(33, (seed,)).generator()
-            term = level_term_single(model, prior, 1, DIST, gen)
-            assert term.value >= 0.0
+            assert prior_term(model, prior, 1, DIST, gen, "single") >= 0.0
 
     def test_conditional_bracket_never_negative(self):
         model, _, factored = make_gaussian_model(TIE_CONFIG, (1,))
         for seed in range(10_000):
             gen = RngStream(34, (seed,)).generator()
             revealed = factored.draw_marginal(gen, 1)[0]
-            term = conditional_level_term_single(model, factored, revealed, 1, DIST, gen)
-            assert term.value >= 0.0
+            term = conditional_term(model, factored, revealed, 1, DIST, gen, "single")
+            assert term >= 0.0
 
 
 class TestLevelOneCouplingIdentity:
@@ -370,9 +376,9 @@ class TestLevelOneCouplingIdentity:
         p1 = DIST.pmf(1)
         for seed in range(1000):
             stream = RngStream(35, (seed,))
-            single = level_term_single(model, prior, 1, DIST, stream.generator())
-            coupled = level_term_coupled(model, prior, 1, DIST, stream.generator())
-            assert coupled.value == p1 * single.value
+            single = prior_term(model, prior, 1, DIST, stream.generator(), "single")
+            coupled = prior_term(model, prior, 1, DIST, stream.generator(), "coupled")
+            assert coupled == p1 * single
 
     def test_conditional_identity_bitwise(self, tie_setup):
         model, _, factored = tie_setup
@@ -380,28 +386,45 @@ class TestLevelOneCouplingIdentity:
         for seed in range(1000):
             stream = RngStream(36, (seed,))
             revealed = factored.draw_marginal(stream.child(0).generator(), 1)[0]
-            single = conditional_level_term_single(
-                model, factored, revealed, 1, DIST, stream.child(1).generator()
+            single = conditional_term(
+                model, factored, revealed, 1, DIST, stream.child(1).generator(), "single"
             )
-            coupled = conditional_level_term_coupled(
-                model, factored, revealed, 1, DIST, stream.child(1).generator()
+            coupled = conditional_term(
+                model, factored, revealed, 1, DIST, stream.child(1).generator(), "coupled"
             )
-            assert coupled.value == p1 * single.value
+            assert coupled == p1 * single
 
 
 class TestSharedSampleAccounting:
     def test_one_bulk_draw_per_term(self, tie_setup):
-        _, prior, _ = tie_setup
-        model, _, _ = tie_setup
-        for level in (1, 3):
+        # every term of a run draws its base**level rows in one call: one
+        # prior call per evpi draw, one prior and one conditional call per
+        # evppi draw, whatever the level
+        model, prior, factored = tie_setup
+        for variant in ("single", "coupled"):
             counter = DrawCounter(prior)
-            level_term_single(model, counter.sampler(), level, DIST, RngStream(37).generator())
-            assert counter.calls == 1
-            assert counter.samples == 2**level
+            r = evpi_mlmc(model, counter.sampler(), DIST, 512, variant, RngStream(37))
+            assert max(r.per_level) >= 2
+            assert counter.calls == r.n_draws
+            assert counter.samples == r.cost_used
+
             counter = DrawCounter(prior)
-            level_term_coupled(model, counter.sampler(), level, DIST, RngStream(37).generator())
-            assert counter.calls == 1
-            assert counter.samples == 2**level
+            hidden_calls = []
+
+            def conditional(x1, rng, size):
+                hidden_calls.append(size)
+                return factored.conditional_fn(x1, rng, size)
+
+            counted = FactoredSampler(
+                factored.dimension, factored.revealed, factored.marginal_fn, conditional
+            )
+            r = evppi_mlmc(
+                model, counted, counter.sampler(), DIST, 1024, variant, variant,
+                rng=RngStream(37),
+            )
+            assert max(r.per_level) >= 2
+            assert counter.calls == len(hidden_calls) == r.n_draws
+            assert counter.samples == sum(hidden_calls) == r.cost_used // 2
 
     def test_estimator_consumes_exactly_reported_cost(self, tie_setup):
         model, prior, _ = tie_setup
@@ -418,12 +441,12 @@ class TestSampledLevelTermMeans:
     def test_perfect_information_terms(self, offset_setup):
         model, prior, _ = offset_setup
         truth = analytic_evpi(OFFSET_CONFIG)
-        for variant, fn in (("single", level_term_single), ("coupled", level_term_coupled)):
+        for variant in ("single", "coupled"):
             level_gen = RngStream(40).child(0).generator()
             draw_gen = RngStream(40).child(1).generator()
             levels = DIST.sample_levels(level_gen, 10_000)
             vals = np.array(
-                [fn(model, prior, int(l), DIST, draw_gen).value for l in levels]
+                [prior_term(model, prior, int(l), DIST, draw_gen, variant) for l in levels]
             )
             se = vals.std(ddof=1) / math.sqrt(len(vals))
             assert abs(vals.mean() - truth) < 4 * se, variant
@@ -431,17 +454,16 @@ class TestSampledLevelTermMeans:
     def test_conditional_terms(self, offset_setup):
         model, _, factored = offset_setup
         target = analytic_evpi(OFFSET_CONFIG) - analytic_evppi(OFFSET_CONFIG, (1, 2))
-        for variant, fn in (
-            ("single", conditional_level_term_single),
-            ("coupled", conditional_level_term_coupled),
-        ):
+        for variant in ("single", "coupled"):
             level_gen = RngStream(41).child(0).generator()
             draw_gen = RngStream(41).child(1).generator()
             levels = DIST.sample_levels(level_gen, 10_000)
             vals = []
             for l in levels:
                 revealed = factored.draw_marginal(draw_gen, 1)[0]
-                vals.append(fn(model, factored, revealed, int(l), DIST, draw_gen).value)
+                vals.append(
+                    conditional_term(model, factored, revealed, int(l), DIST, draw_gen, variant)
+                )
             vals = np.array(vals)
             se = vals.std(ddof=1) / math.sqrt(len(vals))
             assert abs(vals.mean() - target) < 4 * se, variant
@@ -719,7 +741,6 @@ class TestMlmcEstimators:
             512,
             variant_y="single",
             variant_z="coupled",
-            shared_level=False,
             rng=RngStream(59),
             budget_rule="prefix",
         )
@@ -733,11 +754,8 @@ class TestMlmcEstimators:
         per_draw = DIST.expected_cost()
         r = evpi_mlmc(model, prior, DIST, 512, "single", RngStream(64))
         assert r.n_draws == math.floor(512 / per_draw) == 115
-        for shared in (True, False):
-            r = evppi_mlmc(
-                model, factored, prior, DIST, 512, shared_level=shared, rng=RngStream(64)
-            )
-            assert r.n_draws == math.floor(512 / (2 * per_draw)) == 57
+        r = evppi_mlmc(model, factored, prior, DIST, 512, rng=RngStream(64))
+        assert r.n_draws == math.floor(512 / (2 * per_draw)) == 57
 
     def test_mlmc_unbiased_at_budget_on_fast_decay_model(self, offset_setup):
         # on the offset model the level corrections die out long before the
@@ -762,22 +780,3 @@ class TestMlmcEstimators:
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - truth_pp) < 4 * se
 
-
-class TestPilotProfile:
-    def test_profile_shape_and_decay(self, offset_setup):
-        model, prior, _ = offset_setup
-        profile = pilot_level_profile(
-            model, prior, 2, RngStream(70), levels=(1, 2, 3), draws_per_level=400
-        )
-        assert profile.levels == (1, 2, 3)
-        assert all(profile.counts[l] == 400 for l in (1, 2, 3))
-        assert all(profile.second_moments[l] > 0 for l in (1, 2, 3))
-        # corrections shrink with level on any model with an integrable payoff
-        assert profile.second_moments[3] < profile.second_moments[1]
-
-    def test_invalid_arguments(self, offset_setup):
-        model, prior, _ = offset_setup
-        with pytest.raises(ValueError):
-            pilot_level_profile(model, prior, 2, RngStream(0), levels=(0,))
-        with pytest.raises(ValueError):
-            pilot_level_profile(model, prior, 2, RngStream(0), draws_per_level=0)

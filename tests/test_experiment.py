@@ -97,6 +97,13 @@ class TestPlanValidation:
         plan = ExperimentPlan("evpi-single", (256,), 1, benchmark_model_path)
         assert plan.level_ratio == 2 ** (-3 / 2)
 
+    @pytest.mark.parametrize("estimator", ["evpi-nested", "evppi-nested", "evpi-coupled"])
+    def test_level_law_checked_for_every_estimator(self, benchmark_model_path, estimator):
+        with pytest.raises(ValueError, match="ratio"):
+            ExperimentPlan(estimator, (256,), 1, benchmark_model_path, ratio=0.9)
+        with pytest.raises(ValueError, match="base"):
+            ExperimentPlan(estimator, (256,), 1, benchmark_model_path, base=1)
+
     def test_evppi_requires_subset(self, tmp_path):
         import json
 
@@ -165,6 +172,12 @@ class TestRunPlan:
         parallel = run_plan(plan, workers=2)
         assert serial == again
         assert serial == parallel
+
+    def test_workers_below_one_rejected(self, benchmark_model_path):
+        plan = ExperimentPlan("evpi-nested", (16,), 1, benchmark_model_path)
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                run_plan(plan, workers=workers)
 
     def test_replication_streams_keyed_by_index_not_order(self, benchmark_model_path):
         # running a superset of budgets must not disturb shared cells

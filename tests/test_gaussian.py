@@ -17,38 +17,62 @@ from voimc import (
     evppi_from_moments,
     load_model_config,
     make_gaussian_model,
-    std_normal_cdf,
-    std_normal_pdf,
 )
 
 from support import TIE_CONFIG
 
 
+def _density(x):
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def _value_by_quadrature(mean):
+    """E[max(X, 0)] - max(mean, 0) for X ~ Normal(mean, 1), integrated on the
+    losing side of the decision so nothing cancels."""
+    return quad(
+        lambda u: u * _density(u + abs(mean)),
+        0.0,
+        math.inf,
+        epsabs=1e-15,
+        epsrel=1e-13,
+        limit=200,
+    )
+
+
 class TestNormalFunctions:
+    """The normal distribution function and density inside the closed form
+    `evppi_from_moments`, checked against independent references."""
+
     def test_known_constants(self):
-        assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-        assert std_normal_pdf(0.0) == pytest.approx(0.3989422804014327, abs=1e-15)
+        # at mean 0 the value is std * pdf(0), with pdf(0) = 1/sqrt(2 pi)
+        assert evppi_from_moments(0.0, 1.0) == pytest.approx(
+            0.3989422804014327, abs=1e-15
+        )
+        assert evppi_from_moments(0.0, 2.0) == pytest.approx(
+            2.0 * 0.3989422804014327, abs=1e-15
+        )
 
     def test_cdf_against_quadrature(self):
         # independent oracle: integrate the density numerically
-        for z in np.linspace(-8.0, 8.0, 33):
-            reference, err = quad(
-                std_normal_pdf, 0.0, z, epsabs=1e-15, epsrel=1e-13, limit=200
-            )
+        for m in np.linspace(-8.0, 8.0, 33):
+            reference, err = _value_by_quadrature(m)
             assert err < 1e-13
-            assert abs(float(std_normal_cdf(z)) - (0.5 + reference)) < 1e-12
+            assert abs(evppi_from_moments(m, 1.0) - reference) < 1e-12
 
     def test_quantile_value(self):
-        reference, _ = quad(std_normal_pdf, 0.0, 1.96, epsabs=1e-15, epsrel=1e-13)
-        assert float(std_normal_cdf(1.96)) == pytest.approx(0.5 + reference, abs=1e-13)
-        assert float(std_normal_cdf(1.96)) == pytest.approx(0.9750021, abs=1e-7)
-
-    @given(z=st.floats(-8.0, 8.0))
-    @settings(deadline=None, max_examples=80)
-    def test_cdf_symmetry(self, z):
-        assert float(std_normal_cdf(-z)) == pytest.approx(
-            1.0 - float(std_normal_cdf(z)), abs=1e-14
+        # mean -1.96: pdf(1.96) - 1.96 * (1 - cdf(1.96)), cdf(1.96) = 0.9750021
+        reference, _ = _value_by_quadrature(-1.96)
+        value = evppi_from_moments(-1.96, 1.0)
+        assert value == pytest.approx(reference, abs=1e-13)
+        assert value == pytest.approx(
+            _density(1.96) - 1.96 * (1.0 - 0.9750021), abs=1.96e-7
         )
+
+    @given(m=st.floats(-8.0, 8.0), s=st.floats(0.01, 10.0))
+    @settings(deadline=None, max_examples=80)
+    def test_cdf_symmetry(self, m, s):
+        # cdf(-z) = 1 - cdf(z) makes the value even in the mean
+        assert evppi_from_moments(-m, s) == evppi_from_moments(m, s)
 
 
 class TestAnalyticValues:
@@ -204,8 +228,6 @@ class TestSamplingAccuracy:
     def test_payoff_at_prior_mean(self):
         cfg = GaussianLinearModel(0.7, (1.0, 2.0), (0.3, -0.1), (1.0, 1.0))
         model, _, _ = make_gaussian_model(cfg, (1,))
-        from voimc import payoff_vector
-
-        values = payoff_vector(model, np.array(cfg.means))
+        values = model.payoff_matrix(np.array([cfg.means]))[0]
         assert values[0] == pytest.approx(0.7 + 0.3 - 0.2, rel=1e-15)
         assert values[1] == 0.0

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voimc import (
-    EmpiricalLevelProfile,
-    LevelDistribution,
-    RngStream,
-    draws_for_budget,
-    expected_cost_for_rmse,
-    optimal_level_pmf,
-    optimal_ratio,
-)
+from voimc import LevelDistribution, RngStream, draws_for_budget, optimal_ratio
 
 from support import budget_rule_mean
 
@@ -86,30 +78,39 @@ class TestLevelDistribution:
         assert isinstance(dist.cost(40), int)  # no int64 overflow
 
 
+class _FixedUniforms:
+    """Generator stand-in whose ``random(size)`` returns a fixed value."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def _inverse_cdf(dist, u: float) -> int:
+    """ceil(log(1-u)/log r), floored at 1, one uniform at a time."""
+    return max(1, math.ceil(math.log1p(-u) / math.log(dist.ratio)))
+
+
 class TestLevelSampling:
     def test_inversion_boundary(self):
         dist = LevelDistribution(2, BENCH_RATIO)
-        assert dist.level_from_uniform(0.0) == 1
+        assert dist.sample_levels(_FixedUniforms(0.0), 1).tolist() == [1]
 
     @given(u=st.floats(0.0, 1.0, exclude_max=True))
     @settings(deadline=None, max_examples=100)
     def test_inversion_formula(self, u):
         dist = LevelDistribution(2, 0.45)
-        level = dist.level_from_uniform(u)
+        (level,) = dist.sample_levels(_FixedUniforms(u), 1).tolist()
         assert level >= 1
-        # ceil(log(1-u)/log r), floored at 1
-        expected = max(1, math.ceil(math.log1p(-u) / math.log(0.45)))
-        assert level == expected
+        assert level == _inverse_cdf(dist, u)
 
     def test_vectorized_matches_scalar(self):
         dist = LevelDistribution(2, BENCH_RATIO)
         many = dist.sample_levels(RngStream(19).generator(), 500)
-        one_by_one = [dist.sample_level(RngStream(19).generator()) for _ in range(1)]
-        assert many[0] == one_by_one[0]
         u = RngStream(19).generator().random(500)
-        assert np.array_equal(
-            many, [dist.level_from_uniform(float(x)) for x in u]
-        )
+        assert np.array_equal(many, [_inverse_cdf(dist, float(x)) for x in u])
 
     def test_empirical_frequencies_match_pmf(self):
         # ratio 0.45 keeps deep levels common enough to check l <= 10
@@ -147,78 +148,6 @@ class TestOptimalRatio:
             optimal_ratio(2, 0.5)
         with pytest.raises(ValueError):
             optimal_ratio(2, 0.2)
-
-
-class TestOptimalLevelPmf:
-    def test_single_level_gets_all_mass(self):
-        profile = EmpiricalLevelProfile({3: 0.7}, {3: 10})
-        assert optimal_level_pmf(profile, 2) == {3: 1.0}
-
-    def test_equal_moments_two_levels(self):
-        profile = EmpiricalLevelProfile({1: 1.0, 2: 1.0}, {1: 5, 2: 5})
-        pmf = optimal_level_pmf(profile, 2)
-        # weights proportional to (2**-0.5, 2**-1)
-        w1, w2 = 2**-0.5, 2**-1.0
-        assert pmf[1] == pytest.approx(w1 / (w1 + w2), rel=1e-14)
-        assert pmf[2] == pytest.approx(w2 / (w1 + w2), rel=1e-14)
-        assert pmf[1] == pytest.approx(0.585786, abs=1e-6)
-        assert pmf[2] == pytest.approx(0.414214, abs=1e-6)
-
-    def test_geometric_moments(self):
-        # moments base**(-2l) with base 2 give weights proportional to 2**(-3l/2)
-        profile = EmpiricalLevelProfile(
-            {l: 2.0 ** (-2 * l) for l in (1, 2, 3)}, {l: 5 for l in (1, 2, 3)}
-        )
-        pmf = optimal_level_pmf(profile, 2)
-        raw = {l: 2.0 ** (-1.5 * l) for l in (1, 2, 3)}
-        total = sum(raw.values())
-        for l in (1, 2, 3):
-            assert pmf[l] == pytest.approx(raw[l] / total, rel=1e-14)
-        assert pmf[1] == pytest.approx(0.6763368, abs=1e-6)
-        assert pmf[2] == pytest.approx(0.2391212, abs=1e-6)
-        assert pmf[3] == pytest.approx(0.0845421, abs=1e-6)
-
-    def test_all_zero_moments_rejected(self):
-        profile = EmpiricalLevelProfile({1: 0.0, 2: 0.0}, {1: 5, 2: 5})
-        with pytest.raises(ValueError):
-            optimal_level_pmf(profile, 2)
-
-    def test_profile_validation(self):
-        with pytest.raises(ValueError):
-            EmpiricalLevelProfile({}, {})
-        with pytest.raises(ValueError):
-            EmpiricalLevelProfile({1: -0.5}, {1: 3})
-        with pytest.raises(ValueError):
-            EmpiricalLevelProfile({1: 1.0}, {2: 3})
-
-
-class TestExpectedCostForRmse:
-    def test_single_level(self):
-        profile = EmpiricalLevelProfile({1: 1.0}, {1: 10})
-        assert expected_cost_for_rmse(profile, 2, 0.1) == pytest.approx(200.0)
-
-    def test_geometric_moments_converge_to_closed_form(self):
-        # sqrt(2**-2j * 2**j) = 2**(-j/2); the full series sums to 1/(sqrt(2)-1)
-        levels = range(1, 61)
-        profile = EmpiricalLevelProfile(
-            {l: 2.0 ** (-2 * l) for l in levels}, {l: 1 for l in levels}
-        )
-        target = (1.0 / (math.sqrt(2.0) - 1.0)) ** 2
-        assert expected_cost_for_rmse(profile, 2, 1.0) == pytest.approx(
-            target, rel=1e-8
-        )
-        assert target == pytest.approx(5.828427, abs=1e-6)
-
-    def test_quadratic_epsilon_scaling(self):
-        profile = EmpiricalLevelProfile({1: 0.3, 2: 0.1}, {1: 5, 2: 5})
-        c1 = expected_cost_for_rmse(profile, 2, 0.2)
-        c2 = expected_cost_for_rmse(profile, 2, 0.1)
-        assert c2 == pytest.approx(4.0 * c1, rel=1e-14)
-
-    def test_bad_epsilon_rejected(self):
-        profile = EmpiricalLevelProfile({1: 0.3}, {1: 5})
-        with pytest.raises(ValueError):
-            expected_cost_for_rmse(profile, 2, 0.0)
 
 
 class TestDrawsForBudget:

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from voimc import (
     DecisionModel,
@@ -9,8 +7,6 @@ from voimc import (
     PayoffEvaluationError,
     RngStream,
     make_gaussian_model,
-    max_payoff,
-    payoff_vector,
 )
 
 from support import TIE_CONFIG
@@ -22,104 +18,59 @@ def tie_model():
     return model, prior, factored
 
 
+def payoff_row(model, x) -> list:
+    """All decision payoffs at one point, in decision order."""
+    return model.payoff_matrix(np.asarray(x, dtype=float)[None, :])[0].tolist()
+
+
 class TestPayoffVector:
     def test_zero_input(self, tie_model):
         model, _, _ = tie_model
-        assert payoff_vector(model, np.zeros(5)).tolist() == [0.0, 0.0]
+        assert payoff_row(model, np.zeros(5)) == [0.0, 0.0]
 
     def test_linear_sum(self, tie_model):
         model, _, _ = tie_model
-        assert payoff_vector(model, np.ones(5)).tolist() == [5.0, 0.0]
+        assert payoff_row(model, np.ones(5)) == [5.0, 0.0]
 
     def test_affine_intercept(self):
         cfg = GaussianLinearModel(2.0, (1.0,) * 5, (0.0,) * 5, (1.0,) * 5)
         model, _, _ = make_gaussian_model(cfg, (1,))
-        assert payoff_vector(model, [-1, 0, 0, 0, 0]).tolist() == [1.0, 0.0]
+        assert payoff_row(model, [-1, 0, 0, 0, 0]) == [1.0, 0.0]
 
     def test_wrong_length_rejected(self, tie_model):
         model, _, _ = tie_model
         with pytest.raises(ValueError):
-            payoff_vector(model, np.zeros(4))
+            model.payoff_matrix(np.zeros((1, 4)))
 
     def test_non_finite_payoff_names_decision(self):
         model = DecisionModel(
             decisions=("good", "bad"),
-            payoff=lambda d, x: 0.0 if d == "good" else float("nan"),
+            payoff=lambda xs: np.column_stack(
+                (np.zeros(len(xs)), np.full(len(xs), np.nan))
+            ),
             dimension=2,
         )
         with pytest.raises(PayoffEvaluationError, match="'bad'"):
-            payoff_vector(model, np.array([1.0, 2.0]))
-
-
-class TestMaxPayoff:
-    def test_positive_sum_picks_linear(self, tie_model):
-        model, _, _ = tie_model
-        assert max_payoff(model, np.ones(5)) == (5.0, "linear")
-
-    def test_negative_sum_picks_baseline(self, tie_model):
-        model, _, _ = tie_model
-        assert max_payoff(model, -np.ones(5)) == (0.0, "baseline")
-
-    def test_tie_goes_to_first_decision(self, tie_model):
-        model, _, _ = tie_model
-        assert max_payoff(model, np.zeros(5)) == (0.0, "linear")
-
-    def test_value_dominates_every_entry(self, tie_model):
-        model, _, _ = tie_model
-        rng = RngStream(31).generator()
-        for x in rng.normal(size=(50, 5)):
-            value, _ = max_payoff(model, x)
-            assert (payoff_vector(model, x) <= value).all()
-
-    @given(
-        values=st.lists(
-            st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=6
-        ),
-        tie_at=st.integers(0, 5),
-    )
-    @settings(deadline=None, max_examples=60)
-    def test_tie_break_is_lowest_index(self, values, tie_at):
-        tie_at = tie_at % len(values)
-        values = list(values)
-        values[tie_at] = max(values)  # force a (possibly duplicated) maximum
-        table = tuple(values)
-        model = DecisionModel(
-            decisions=tuple(range(len(table))),
-            payoff=lambda d, _x, t=table: t[d],
-            dimension=1,
-        )
-        _, winner = max_payoff(model, np.zeros(1))
-        assert winner == values.index(max(values))
+            payoff_row(model, [1.0, 2.0])
 
 
 class TestDecisionModelValidation:
     def test_empty_decisions_rejected(self):
         with pytest.raises(ValueError):
-            DecisionModel(decisions=(), payoff=lambda d, x: 0.0, dimension=1)
+            DecisionModel(decisions=(), payoff=lambda xs: xs, dimension=1)
 
     def test_duplicate_decisions_rejected(self):
         with pytest.raises(ValueError):
-            DecisionModel(decisions=("a", "a"), payoff=lambda d, x: 0.0, dimension=1)
+            DecisionModel(decisions=("a", "a"), payoff=lambda xs: xs, dimension=1)
 
     def test_batch_shape_checked(self):
         model = DecisionModel(
             decisions=("a",),
-            payoff=lambda d, x: 0.0,
+            payoff=lambda xs: np.zeros((xs.shape[0], 3)),
             dimension=2,
-            batch_payoff=lambda xs: np.zeros((xs.shape[0], 3)),
         )
         with pytest.raises(ValueError):
             model.payoff_matrix(np.zeros((4, 2)))
-
-    def test_scalar_fallback_matches_batch(self, tie_model):
-        model, _, _ = tie_model
-        no_batch = DecisionModel(
-            decisions=model.decisions,
-            payoff=model.payoff,
-            dimension=model.dimension,
-        )
-        xs = RngStream(8).generator().normal(size=(20, 5))
-        assert np.allclose(model.payoff_matrix(xs), no_batch.payoff_matrix(xs))
 
 
 class TestSamplers:
