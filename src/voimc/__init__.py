@@ -14,7 +14,6 @@ from .estimators import (
 )
 from .experiment import (
     ESTIMATOR_NAMES,
-    AllReplicationsExhausted,
     BudgetSummary,
     ConvergenceReport,
     ExperimentPlan,
@@ -26,12 +25,10 @@ from .experiment import (
     write_csv,
 )
 from .gaussian import (
-    AnalyticMoments,
     ConfigError,
     GaussianLinearModel,
     analytic_evpi,
     analytic_evppi,
-    analytic_moments,
     evppi_from_moments,
     load_model_config,
     make_gaussian_model,
@@ -53,8 +50,6 @@ from .rng import RngStream
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllReplicationsExhausted",
-    "AnalyticMoments",
     "BudgetExhaustedError",
     "BudgetSummary",
     "ConfigError",
@@ -73,7 +68,6 @@ __all__ = [
     "RngStream",
     "analytic_evpi",
     "analytic_evppi",
-    "analytic_moments",
     "draws_for_budget",
     "evpi_mlmc",
     "evpi_nested",

@@ -1,8 +1,9 @@
 """Command-line interface: one-shot estimates and full convergence studies.
 
-Exit codes: 0 on success, 2 on invalid arguments or configuration or when one
-draw would need more memory than the per-draw bound allows, 3 when every
-replication exhausted its budget before the first draw.
+Exit codes: 0 on success, 2 on invalid arguments or configuration, or when
+one draw or the level sequence of a run would need more memory than the
+bound allows, 3 when every replication exhausted its budget before the first
+draw.
 """
 
 from __future__ import annotations
@@ -12,13 +13,11 @@ import sys
 
 from .experiment import (
     ESTIMATOR_NAMES,
-    AllReplicationsExhausted,
     ExperimentPlan,
     render_csv,
     run_plan,
     write_csv,
 )
-from .gaussian import ConfigError
 from .levels import BudgetExhaustedError
 
 
@@ -138,10 +137,10 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             return _cmd_estimate(args)
         return _cmd_study(args)
-    except (ConfigError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AllReplicationsExhausted, BudgetExhaustedError) as exc:
+    except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -25,6 +25,7 @@ three properties.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +47,11 @@ __all__ = [
 _VARIANTS = ("single", "coupled")
 _BUDGET_RULES = ("expected", "prefix")
 
-# Largest sample block one draw may allocate: base**level rows of the full
-# parameter vector in float64.  Levels are uncapped under the expected-cost
-# budget rule, so a deep draw is refused before sampling instead of
-# exhausting memory.
+# Largest block one multilevel run may allocate at once: the samples of one
+# draw (base**level rows of the full parameter vector in float64) or its level
+# sequence (8 bytes per level).  Levels are uncapped under the expected-cost
+# budget rule and the level count grows with the budget, so either is refused
+# before it is drawn instead of exhausting memory.
 _MAX_DRAW_BYTES = 2**30
 
 # Largest sample batch the nested estimators draw and evaluate at once.
@@ -344,71 +346,90 @@ def evppi_nested(
 # The perfect-information part of `evppi_mlmc` consumes the prefix of each
 # draw stream exactly as `evpi_mlmc` would, which keeps the two estimators
 # bit-identical on models whose conditional part is degenerate.
-#
-# Budget rules (the ``budget_rule`` keyword of both estimators):
-#   "expected"  n = floor(budget / E[cost of one draw]) i.i.d. levels, with no
-#               cap on the levels.  A fixed number of unbiased terms averages
-#               to an unbiased estimate (the fixed-replicate form of Rhee and
-#               Glynn, Operations Research 63(5), 2015); ``budget`` bounds the
-#               expected cost of the run, not its realized cost.
-#   "prefix"    the longest i.i.d. level prefix whose cost fits ``budget``
-#               (`draws_for_budget`).  The realized cost never exceeds the
-#               budget, but the run is conditioned on its levels fitting, so
-#               the mean estimates the telescope truncated at base**l <= budget.
 
 
-def _levels_for_budget(
+def _check_variant(name: str, variant: str) -> None:
+    if variant not in _VARIANTS:
+        raise ValueError(f"{name} must be one of {_VARIANTS}, got {variant!r}")
+
+
+def _run(
     dist: LevelDistribution,
     budget: int,
     budget_rule: str,
     parts: int,
-    rng: np.random.Generator,
-) -> list[int]:
-    """Level sequence of one run in which every draw pays ``parts`` level costs.
+    dimension: int,
+    rng: RngStream,
+    term: Callable[[np.random.Generator, int, int], float],
+) -> EstimateResult:
+    """One multilevel run in which every draw pays ``parts`` level costs.
 
-    ``budget_rule`` is "expected" or "prefix" (see the section comment above).
+    ``term(gen, level, cost)`` is the correction of one draw, computed from
+    the draw's own generator and ``cost`` = base**level rows per part.
+    ``budget_rule`` spends ``budget`` as described in `evpi_mlmc`.
     """
+    level_rng = rng.child(0).generator()
     if budget_rule == "expected":
         draw_cost = parts * dist.expected_cost()
-        n = math.floor(budget / draw_cost)
-        if n == 0:
+        max_levels = math.floor(budget / draw_cost)
+        if max_levels == 0:
             raise ValueError(
                 f"budget {budget} is below the expected cost of one draw "
                 f"({draw_cost:.6g}); the expected budget rule needs a budget of "
                 f"at least {math.ceil(draw_cost)}"
             )
-        return [int(level) for level in dist.sample_levels(rng, n)]
-    if budget < parts * dist.cost(1):
-        raise ValueError(
-            f"budget must be at least {parts * dist.cost(1)}, the cost of one "
-            "level-1 draw"
-        )
-    # a draw costs parts*base**l, so the prefix rule over budget reduces to
-    # the plain rule over budget // parts
-    levels, n = draws_for_budget(dist, budget // parts, rng)
-    if n == 0:
-        raise BudgetExhaustedError(
-            f"first drawn level does not fit within budget {budget}"
-        )
-    return levels
-
-
-def _check_budget_rule(budget_rule: str) -> None:
-    if budget_rule not in _BUDGET_RULES:
+    elif budget_rule == "prefix":
+        if budget < parts * dist.cost(1):
+            raise ValueError(
+                f"budget must be at least {parts * dist.cost(1)}, the cost of one "
+                "level-1 draw"
+            )
+        # every level costs at least base per part
+        max_levels = budget // (parts * dist.base)
+    else:
         raise ValueError(
             f"budget_rule must be one of {_BUDGET_RULES}, got {budget_rule!r}"
         )
-
-
-def _check_draw_memory(dist: LevelDistribution, level: int, dimension: int) -> None:
-    """Refuse a run whose deepest draw would exceed ``_MAX_DRAW_BYTES``."""
-    needed = dist.cost(level) * dimension * 8
+    if max_levels * 8 > _MAX_DRAW_BYTES:
+        raise MemoryError(
+            f"budget {budget} allows up to {max_levels} levels "
+            f"({max_levels * 8} bytes), above the level-sequence bound of "
+            f"{_MAX_DRAW_BYTES} bytes; no levels were drawn"
+        )
+    if budget_rule == "expected":
+        levels = dist.sample_levels(level_rng, max_levels).tolist()
+    else:
+        # a draw costs parts*base**l, so the prefix rule over budget reduces to
+        # the plain rule over budget // parts
+        levels, _ = draws_for_budget(dist, budget // parts, level_rng)
+        if not levels:
+            raise BudgetExhaustedError(
+                f"first drawn level does not fit within budget {budget}"
+            )
+    deepest = max(levels)
+    needed = dist.cost(deepest) * dimension * 8
     if needed > _MAX_DRAW_BYTES:
         raise MemoryError(
-            f"a level-{level} draw needs {dist.base}**{level} samples of "
+            f"a level-{deepest} draw needs {dist.base}**{deepest} samples of "
             f"{dimension} coordinates ({needed} bytes), above the per-draw "
             f"bound of {_MAX_DRAW_BYTES} bytes; no samples were drawn"
         )
+    moments = _RunningMoments()
+    per_level: dict[int, _RunningMoments] = {}
+    cost_used = 0
+    for i, level in enumerate(levels, start=1):
+        cost = dist.cost(level)
+        value = term(rng.child(i).generator(), level, cost)
+        moments.add(value)
+        per_level.setdefault(level, _RunningMoments()).add(value)
+        cost_used += parts * cost
+    return EstimateResult(
+        estimate=float(moments.mean),
+        n_draws=len(levels),
+        cost_used=cost_used,
+        term_variance=moments.sample_variance,
+        per_level=_freeze_levels(per_level),
+    )
 
 
 def evpi_mlmc(
@@ -427,44 +448,31 @@ def evpi_mlmc(
     averages.  ``budget_rule`` sets how ``budget`` fixes the draw count:
 
     * ``"expected"`` (default): floor(budget / ``dist.expected_cost()``)
-      draws with uncapped levels.  The estimate is unbiased; ``budget`` is the
-      expected cost of the run and the realized ``cost_used`` may exceed it.
-      Raises ValueError, naming the minimum, when the budget is below one
-      draw's expected cost.
+      draws with uncapped levels.  A fixed number of unbiased terms averages
+      to an unbiased estimate (the fixed-replicate form of Rhee and Glynn,
+      Operations Research 63(5), 2015); ``budget`` is the expected cost of
+      the run and the realized ``cost_used`` may exceed it.  Raises
+      ValueError, naming the minimum, when the budget is below one draw's
+      expected cost.
     * ``"prefix"``: draws levels until their cumulative cost base**l would
-      exceed ``budget``, so ``cost_used <= budget``, but the mean then
-      estimates the telescope truncated at base**l <= budget.  Raises
-      BudgetExhaustedError when even the first level does not fit (re-drawing
-      it would tilt the level law).  `run_plan` and the CLI use this rule.
+      exceed ``budget``, so ``cost_used <= budget``, but the run is
+      conditioned on its levels fitting and the mean estimates the telescope
+      truncated at base**l <= budget.  Raises BudgetExhaustedError when even
+      the first level does not fit (re-drawing it would tilt the level law).
+      `run_plan` and the CLI use this rule.
 
-    Raises MemoryError before sampling when one draw would need more than
-    2**30 bytes of samples (base**level * dimension * 8).
+    Raises MemoryError before drawing any level when the level sequence could
+    need more than 2**30 bytes (8 bytes per level), and before sampling when
+    one draw would need more than 2**30 bytes of samples
+    (base**level * dimension * 8).
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    _check_budget_rule(budget_rule)
-    levels = _levels_for_budget(
-        dist, budget, budget_rule, 1, rng.child(0).generator()
-    )
-    _check_draw_memory(dist, max(levels), model.dimension)
-    moments = _RunningMoments()
-    per_level: dict[int, _RunningMoments] = {}
-    cost_used = 0
-    for i, level in enumerate(levels, start=1):
-        gen = rng.child(i).generator()
-        n = dist.cost(level)
-        payoffs = model.payoff_matrix(prior.draw(gen, n))
-        value = _level_term(payoffs, dist, level, variant)
-        moments.add(value)
-        per_level.setdefault(level, _RunningMoments()).add(value)
-        cost_used += n
-    return EstimateResult(
-        estimate=float(moments.mean),
-        n_draws=len(levels),
-        cost_used=cost_used,
-        term_variance=moments.sample_variance,
-        per_level=_freeze_levels(per_level),
-    )
+    _check_variant("variant", variant)
+
+    def term(gen: np.random.Generator, level: int, cost: int) -> float:
+        payoffs = model.payoff_matrix(prior.draw(gen, cost))
+        return _level_term(payoffs, dist, level, variant)
+
+    return _run(dist, budget, budget_rule, 1, model.dimension, rng, term)
 
 
 def evppi_mlmc(
@@ -485,50 +493,21 @@ def evppi_mlmc(
     samples) minus a conditional correction term (from a fresh revealed-block
     sample and conditional samples); the difference targets the revealed-block
     value directly.  One random level serves both parts of a draw, so a draw
-    pays twice that level's evaluations, and ``budget_rule`` spends ``budget``
-    as in `evpi_mlmc` applied to that per-draw cost:
-
-    * ``"expected"`` (default): floor(budget / (2 * ``dist.expected_cost()``))
-      draws with uncapped levels; unbiased, with ``budget`` bounding only the
-      expected cost of the run.  A budget below one draw's expected cost
-      raises ValueError naming the minimum.
-    * ``"prefix"``: the longest level prefix whose cost fits ``budget``;
-      ``cost_used <= budget``, but the mean estimates the truncated
-      telescope.  `run_plan` and the CLI use this rule.
-
-    Raises MemoryError before sampling when one draw would need more than
-    2**30 bytes of samples (base**level * dimension * 8).
+    pays twice that level's evaluations.  ``budget_rule`` spends ``budget``
+    as in `evpi_mlmc` applied to that per-draw cost, with the same errors; the
+    expected rule runs floor(budget / (2 * ``dist.expected_cost()``)) draws.
 
     ``per_level`` in the result is keyed by the draw's level.
     """
-    for name, variant in (("variant_y", variant_y), ("variant_z", variant_z)):
-        if variant not in _VARIANTS:
-            raise ValueError(f"{name} must be one of {_VARIANTS}, got {variant!r}")
-    _check_budget_rule(budget_rule)
-    levels = _levels_for_budget(
-        dist, budget, budget_rule, 2, rng.child(0).generator()
-    )
-    _check_draw_memory(dist, max(levels), model.dimension)
-    moments = _RunningMoments()
-    per_level: dict[int, _RunningMoments] = {}
-    cost_used = 0
-    for i, level in enumerate(levels, start=1):
-        gen = rng.child(i).generator()
-        n = dist.cost(level)
-        payoffs = model.payoff_matrix(prior.draw(gen, n))
+    _check_variant("variant_y", variant_y)
+    _check_variant("variant_z", variant_z)
+
+    def term(gen: np.random.Generator, level: int, cost: int) -> float:
+        payoffs = model.payoff_matrix(prior.draw(gen, cost))
         value_y = _level_term(payoffs, dist, level, variant_y)
         revealed_values = factored.draw_marginal(gen, 1)[0]
-        hidden = factored.draw_conditional(revealed_values, gen, n)
+        hidden = factored.draw_conditional(revealed_values, gen, cost)
         payoffs = model.payoff_matrix(factored.combine(revealed_values, hidden))
-        term = value_y - _level_term(payoffs, dist, level, variant_z)
-        moments.add(term)
-        per_level.setdefault(level, _RunningMoments()).add(term)
-        cost_used += 2 * n
-    return EstimateResult(
-        estimate=float(moments.mean),
-        n_draws=len(levels),
-        cost_used=cost_used,
-        term_variance=moments.sample_variance,
-        per_level=_freeze_levels(per_level),
-    )
+        return value_y - _level_term(payoffs, dist, level, variant_z)
 
+    return _run(dist, budget, budget_rule, 2, model.dimension, rng, term)

@@ -41,7 +41,6 @@ __all__ = [
     "ReplicateRecord",
     "BudgetSummary",
     "ConvergenceReport",
-    "AllReplicationsExhausted",
     "summarize",
     "fit_slope",
     "run_plan",
@@ -58,10 +57,6 @@ ESTIMATOR_NAMES = (
     "evppi-single",
     "evppi-coupled",
 )
-
-
-class AllReplicationsExhausted(RuntimeError):
-    """Every replication of a budget ran out before its first draw."""
 
 
 @dataclass(frozen=True)
@@ -182,14 +177,10 @@ def fit_slope(points) -> float:
 class _ReplicationTask:
     """Everything one worker needs; picklable so pools can run it anywhere."""
 
-    estimator: str
+    plan: ExperimentPlan
     config: GaussianLinearModel
     subset: tuple[int, ...]
-    base: int
-    ratio: float
-    gamma: float
     budget: int
-    seed: int
     replication: int
 
 
@@ -199,10 +190,11 @@ def run_replication(task: _ReplicationTask) -> ReplicateRecord:
     Multilevel cells spend their budget through the prefix rule, so a
     replication never costs more than its budget.
     """
+    plan = task.plan
     model, prior, factored = make_gaussian_model(task.config, task.subset)
-    stream = RngStream(task.seed).child(task.budget, task.replication)
+    stream = RngStream(plan.seed).child(task.budget, task.replication)
     try:
-        if task.estimator == "evpi-nested":
+        if plan.estimator == "evpi-nested":
             result = evpi_nested(
                 model,
                 prior,
@@ -210,8 +202,8 @@ def run_replication(task: _ReplicationTask) -> ReplicateRecord:
                 baseline_draws=task.budget,
                 rng=stream,
             )
-        elif task.estimator == "evppi-nested":
-            inner, outer = nested_allocation(task.budget, task.gamma)
+        elif plan.estimator == "evppi-nested":
+            inner, outer = nested_allocation(task.budget, plan.gamma)
             result = evppi_nested(
                 model,
                 factored,
@@ -222,9 +214,9 @@ def run_replication(task: _ReplicationTask) -> ReplicateRecord:
                 rng=stream,
             )
         else:
-            dist = LevelDistribution(task.base, task.ratio)
-            variant = task.estimator.rsplit("-", 1)[1]
-            if task.estimator.startswith("evpi-"):
+            dist = LevelDistribution(plan.base, plan.level_ratio)
+            variant = plan.estimator.rsplit("-", 1)[1]
+            if plan.estimator.startswith("evpi-"):
                 result = evpi_mlmc(
                     model,
                     prior,
@@ -255,17 +247,7 @@ def run_replication(task: _ReplicationTask) -> ReplicateRecord:
 
 def _plan_tasks(plan: ExperimentPlan, config: GaussianLinearModel, subset):
     return [
-        _ReplicationTask(
-            estimator=plan.estimator,
-            config=config,
-            subset=subset,
-            base=plan.base,
-            ratio=plan.level_ratio,
-            gamma=plan.gamma,
-            budget=budget,
-            seed=plan.seed,
-            replication=rep,
-        )
+        _ReplicationTask(plan, config, subset, budget, rep)
         for budget in plan.budgets
         for rep in range(1, plan.replications + 1)
     ]
@@ -289,7 +271,8 @@ def _resolve_model(plan: ExperimentPlan):
 def run_plan(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
     """Execute a plan; deterministic for a fixed seed at any worker count.
 
-    Raises ValueError when ``workers`` is below 1.
+    Raises ValueError when ``workers`` is below 1, and BudgetExhaustedError
+    when every replication of some budget ran out before its first draw.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -309,7 +292,7 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
         records[budget] = rows
         estimates = [r.estimate for r in rows if r.estimate is not None]
         if not estimates:
-            raise AllReplicationsExhausted(
+            raise BudgetExhaustedError(
                 f"all {plan.replications} replication(s) at budget {budget} "
                 "were exhausted before their first draw"
             )

@@ -33,10 +33,8 @@ from .model import DecisionModel, FactoredSampler, PriorSampler
 
 __all__ = [
     "GaussianLinearModel",
-    "AnalyticMoments",
     "ConfigError",
     "make_gaussian_model",
-    "analytic_moments",
     "evppi_from_moments",
     "analytic_evppi",
     "analytic_evpi",
@@ -80,14 +78,6 @@ class GaussianLinearModel:
     @property
     def dimension(self) -> int:
         return len(self.weights)
-
-
-@dataclass(frozen=True)
-class AnalyticMoments:
-    """Gaussian summary of the decision gap for a revealed subset."""
-
-    mean_total: float
-    std_revealed: float
 
 
 def _validate_subset(config: GaussianLinearModel, revealed) -> tuple[int, ...]:
@@ -152,18 +142,6 @@ def make_gaussian_model(
     return model, prior, factored
 
 
-def analytic_moments(config: GaussianLinearModel, revealed) -> AnalyticMoments:
-    """Mean and revealed-part standard deviation of the decision gap."""
-    revealed = _validate_subset(config, revealed)
-    mean_total = config.intercept + float(
-        np.dot(config.weights, config.means)
-    )
-    var = sum(
-        (config.weights[ix - 1] * config.stds[ix - 1]) ** 2 for ix in revealed
-    )
-    return AnalyticMoments(mean_total=mean_total, std_revealed=math.sqrt(var))
-
-
 def evppi_from_moments(mean_total: float, std_revealed: float) -> float:
     """Closed-form information value of a Gaussian decision gap.
 
@@ -185,8 +163,14 @@ def evppi_from_moments(mean_total: float, std_revealed: float) -> float:
 
 def analytic_evppi(config: GaussianLinearModel, revealed) -> float:
     """Exact value of revealing the given coordinate subset."""
-    m = analytic_moments(config, revealed)
-    return evppi_from_moments(m.mean_total, m.std_revealed)
+    revealed = _validate_subset(config, revealed)
+    mean_total = config.intercept + float(
+        np.dot(config.weights, config.means)
+    )
+    var = sum(
+        (config.weights[ix - 1] * config.stds[ix - 1]) ** 2 for ix in revealed
+    )
+    return evppi_from_moments(mean_total, math.sqrt(var))
 
 
 def analytic_evpi(config: GaussianLinearModel) -> float:

@@ -190,8 +190,11 @@ def test_budget_exhausted_exits_three(benchmark_model_path, capsys):
         ],
         # ratio * base >= 1 is no level law, even for a nested estimator
         ["study", "--estimator", "evpi-nested", "--budgets", "16", "--r", "0.9"],
+        # a budget of 2**40 allows 2**39 levels, above the level-sequence
+        # memory bound, so the run is refused before any level is drawn
+        ["estimate", "--estimator", "evpi-coupled", "--budget", "1099511627776"],
     ],
-    ids=["oversized-level", "workers-0", "ratio-0.9"],
+    ids=["oversized-level", "workers-0", "ratio-0.9", "oversized-budget"],
 )
 def test_refused_run_exits_two_without_output(args, benchmark_model_path, capsys, tmp_path):
     out = tmp_path / "out.csv"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -488,15 +489,22 @@ class TestMlmcEstimators:
         b = evppi_mlmc(model, factored, prior, DIST, 512, rng=RngStream(51))
         assert a == b
 
-    def test_full_reveal_equals_perfect_information_run_bitwise(self, tie_setup):
-        # conditional terms cancel exactly and the shared-level budget rule on
-        # a doubled budget walks the identical level prefix
+    @pytest.mark.parametrize("budget_rule", ["expected", "prefix"])
+    def test_full_reveal_equals_perfect_information_run_bitwise(
+        self, tie_setup, budget_rule
+    ):
+        # conditional terms cancel exactly and either budget rule on a doubled
+        # budget walks the identical level sequence
         model, prior, _ = tie_setup
         _, _, factored = make_gaussian_model(TIE_CONFIG, range(1, 6))
         for budget in (64, 256):
-            a = evpi_mlmc(model, prior, DIST, budget, "coupled", RngStream(52))
+            a = evpi_mlmc(
+                model, prior, DIST, budget, "coupled", RngStream(52),
+                budget_rule=budget_rule,
+            )
             b = evppi_mlmc(
-                model, factored, prior, DIST, 2 * budget, rng=RngStream(52)
+                model, factored, prior, DIST, 2 * budget, rng=RngStream(52),
+                budget_rule=budget_rule,
             )
             assert a.estimate == b.estimate
             assert a.n_draws == b.n_draws
@@ -594,6 +602,36 @@ class TestMlmcEstimators:
             evpi_mlmc(model, prior, huge, 2**28, "single", RngStream(0))
         with pytest.raises(MemoryError, match="per-draw bound"):
             evppi_mlmc(model, factored, prior, huge, 2**29, rng=RngStream(0))
+
+    @pytest.mark.parametrize("budget_rule", ["expected", "prefix"])
+    def test_oversized_level_sequence_refused_before_drawing(
+        self, tie_setup, budget_rule
+    ):
+        # a budget of 2**40 asks for more than 2**27 levels under either
+        # rule, 8 bytes each, so the run is refused before any level or
+        # sample is drawn
+        model, _, factored = tie_setup
+
+        def never(_rng, _size):
+            pytest.fail("sampled a run above the level-sequence memory bound")
+
+        prior = PriorSampler(dimension=5, draw_fn=never)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="level-sequence bound"):
+                evpi_mlmc(
+                    model, prior, DIST, 2**40, "single", RngStream(0),
+                    budget_rule=budget_rule,
+                )
+            with pytest.raises(MemoryError, match="level-sequence bound"):
+                evppi_mlmc(
+                    model, factored, prior, DIST, 2**40, rng=RngStream(0),
+                    budget_rule=budget_rule,
+                )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_per_level_bookkeeping(self, tie_setup):
         model, prior, _ = tie_setup

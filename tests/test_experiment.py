@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voimc import (
-    AllReplicationsExhausted,
+    BudgetExhaustedError,
     ExperimentPlan,
     RngStream,
     analytic_evppi,
@@ -220,7 +220,7 @@ class TestRunPlan:
             )
             try:
                 run_plan(plan)
-            except AllReplicationsExhausted:
+            except BudgetExhaustedError:
                 return
         pytest.fail("no all-exhausted seed found in 200 tries")
 

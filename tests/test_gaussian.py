@@ -13,7 +13,6 @@ from voimc import (
     RngStream,
     analytic_evpi,
     analytic_evppi,
-    analytic_moments,
     evppi_from_moments,
     load_model_config,
     make_gaussian_model,
@@ -90,9 +89,10 @@ class TestAnalyticValues:
 
     def test_moments(self):
         cfg = GaussianLinearModel(2.0, (1.0, -3.0), (0.5, 1.0), (1.0, 2.0))
-        m = analytic_moments(cfg, (2,))
-        assert m.mean_total == pytest.approx(2.0 + 0.5 - 3.0)
-        assert m.std_revealed == pytest.approx(6.0)
+        # decision-gap mean 2.0 + 0.5 - 3.0 and revealed std |-3.0 * 2.0|
+        assert analytic_evppi(cfg, (2,)) == pytest.approx(
+            evppi_from_moments(2.0 + 0.5 - 3.0, 6.0)
+        )
 
     def test_large_positive_mean_value_vanishes(self):
         value = evppi_from_moments(10.0, 1.0)
@@ -136,15 +136,13 @@ class TestAnalyticValues:
             stds=(1.0, 0.5, 2.0, 0.75),
         )
         revealed = (1, 3)
-        m = analytic_moments(cfg, revealed)
-        closed = evppi_from_moments(m.mean_total, m.std_revealed) + max(
-            m.mean_total, 0.0
-        )
+        mean_total = cfg.intercept + float(np.dot(cfg.weights, cfg.means))
+        closed = analytic_evppi(cfg, revealed) + max(mean_total, 0.0)
         n = 1_000_000
         gen = RngStream(2718).generator()
         w = np.array(cfg.weights)
         idx = [0, 2]
-        hidden_mean = m.mean_total - sum(w[i] * cfg.means[i] for i in idx)
+        hidden_mean = mean_total - sum(w[i] * cfg.means[i] for i in idx)
         draws = gen.normal(
             [cfg.means[i] for i in idx], [cfg.stds[i] for i in idx], size=(n, 2)
         )
