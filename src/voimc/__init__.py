@@ -1,35 +1,18 @@
 """Monte Carlo estimation of the expected value of perfect and partial
 perfect information for finite-decision models, with nested and randomized
 multilevel estimators, a closed-form Gaussian benchmark, and a
-convergence-study harness."""
+convergence-study harness.
 
-from .estimators import (
-    EstimateResult,
-    LevelStats,
-    evpi_mlmc,
-    evpi_nested,
-    evppi_mlmc,
-    evppi_nested,
-    nested_allocation,
-)
-from .experiment import (
-    ESTIMATOR_NAMES,
-    BudgetSummary,
-    ConvergenceReport,
-    ExperimentPlan,
-    ReplicateRecord,
-    fit_slope,
-    render_csv,
-    run_plan,
-    summarize,
-    write_csv,
-)
+Result types and helpers that callers only receive or that serve the
+library itself (`EstimateResult`, `ConvergenceReport`, `nested_allocation`,
+`fit_slope`, ...) stay importable from their modules."""
+
+from .estimators import evpi_mlmc, evpi_nested, evppi_mlmc, evppi_nested
+from .experiment import ESTIMATOR_NAMES, ExperimentPlan, render_csv, run_plan, write_csv
 from .gaussian import (
     ConfigError,
     GaussianLinearModel,
-    analytic_evpi,
     analytic_evppi,
-    evppi_from_moments,
     load_model_config,
     make_gaussian_model,
 )
@@ -51,36 +34,26 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExhaustedError",
-    "BudgetSummary",
     "ConfigError",
-    "ConvergenceReport",
     "DecisionModel",
     "ESTIMATOR_NAMES",
-    "EstimateResult",
     "ExperimentPlan",
     "FactoredSampler",
     "GaussianLinearModel",
     "LevelDistribution",
-    "LevelStats",
     "PayoffEvaluationError",
     "PriorSampler",
-    "ReplicateRecord",
     "RngStream",
-    "analytic_evpi",
     "analytic_evppi",
     "draws_for_budget",
     "evpi_mlmc",
     "evpi_nested",
-    "evppi_from_moments",
     "evppi_mlmc",
     "evppi_nested",
-    "fit_slope",
     "load_model_config",
     "make_gaussian_model",
-    "nested_allocation",
     "optimal_ratio",
     "render_csv",
     "run_plan",
-    "summarize",
     "write_csv",
 ]

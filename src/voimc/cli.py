@@ -1,9 +1,12 @@
 """Command-line interface: one-shot estimates and full convergence studies.
 
-Exit codes: 0 on success, 2 on invalid arguments or configuration, or when
-one draw or the level sequence of a run would need more memory than the
-bound allows, 3 when every replication exhausted its budget before the first
-draw.
+Exit codes: 0 on success, 2 on invalid arguments or configuration, when
+one draw or the level sequence of a run (32 bytes per level) would need more
+memory than the bound allows, or when the ``--out`` file cannot be written,
+3 when every replication exhausted its budget before the first draw.
+
+The CSV records the revealed subset as ``#CONFIG,subset``: ``--subset`` if
+given, otherwise the model file's ``subset``.
 """
 
 from __future__ import annotations
@@ -137,7 +140,7 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             return _cmd_estimate(args)
         return _cmd_study(args)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExhaustedError as exc:

@@ -11,7 +11,6 @@ regardless of the worker count.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +26,6 @@ from .estimators import (
 )
 from .gaussian import (
     GaussianLinearModel,
-    analytic_evpi,
     analytic_evppi,
     load_model_config,
     make_gaussian_model,
@@ -82,6 +80,8 @@ class ExperimentPlan:
             raise ValueError("at least one budget is required")
         if any(b <= a for a, b in zip(self.budgets, self.budgets[1:])):
             raise ValueError("budgets must be strictly increasing")
+        if self.budgets[0] < 1:
+            raise ValueError("budgets must be positive")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         # checked for every estimator, so a bad level law fails before any
@@ -124,13 +124,15 @@ class BudgetSummary:
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Everything `run_plan` produces: truth, per-budget summaries, records,
-    and the fitted RMSE-vs-budget slope (nan with fewer than two usable
-    points)."""
+    the fitted RMSE-vs-budget slope (nan with fewer than two usable points),
+    and the revealed subset the plan or its model file names (None if
+    neither does)."""
 
     truth: float
     per_budget: dict[int, BudgetSummary]
     records: dict[int, tuple[ReplicateRecord, ...]]
     slope: float
+    subset: tuple[int, ...] | None
 
 
 def summarize(estimates, truth: float) -> BudgetSummary:
@@ -154,19 +156,11 @@ def summarize(estimates, truth: float) -> BudgetSummary:
 def fit_slope(points) -> float:
     """Least-squares slope of log RMSE on log budget, negated so bigger is better.
 
-    Non-positive RMSE points are excluded with a warning; fewer than two
-    usable points is an error.
+    Points with non-positive RMSE are dropped; nan if fewer than two remain.
     """
-    points = list(points)
     usable = [(c, e) for c, e in points if e > 0.0]
-    dropped = len(points) - len(usable)
-    if dropped:
-        warnings.warn(
-            f"fit_slope: excluded {dropped} point(s) with non-positive RMSE",
-            stacklevel=2,
-        )
     if len(usable) < 2:
-        raise ValueError("need at least two points with positive RMSE")
+        return float("nan")
     logs_c = np.log([c for c, _ in usable])
     logs_e = np.log([e for _, e in usable])
     slope = np.polyfit(logs_c, logs_e, 1)[0]
@@ -245,27 +239,20 @@ def run_replication(task: _ReplicationTask) -> ReplicateRecord:
     )
 
 
-def _plan_tasks(plan: ExperimentPlan, config: GaussianLinearModel, subset):
-    return [
-        _ReplicationTask(plan, config, subset, budget, rep)
-        for budget in plan.budgets
-        for rep in range(1, plan.replications + 1)
-    ]
-
-
 def _resolve_model(plan: ExperimentPlan):
+    """Model config, the subset the run reveals, its truth, and the subset to
+    record: ``plan.subset`` if given, else the model file's."""
     config, file_subset = load_model_config(plan.model_config)
-    subset = plan.subset if plan.subset is not None else file_subset
-    if plan.needs_subset:
-        if not subset:
-            raise ValueError(
-                f"estimator {plan.estimator!r} needs a non-empty revealed subset"
-            )
-        truth = analytic_evppi(config, subset)
+    named = plan.subset if plan.subset is not None else file_subset
+    if not plan.needs_subset:
+        subset = range(1, config.dimension + 1)  # perfect information
+    elif named:
+        subset = named
     else:
-        subset = tuple(range(1, config.dimension + 1))  # unused by evpi runs
-        truth = analytic_evpi(config)
-    return config, tuple(subset), truth
+        raise ValueError(
+            f"estimator {plan.estimator!r} needs a non-empty revealed subset"
+        )
+    return config, tuple(subset), analytic_evppi(config, subset), named
 
 
 def run_plan(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
@@ -276,8 +263,12 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    config, subset, truth = _resolve_model(plan)
-    tasks = _plan_tasks(plan, config, subset)
+    config, subset, truth, named = _resolve_model(plan)
+    tasks = [
+        _ReplicationTask(plan, config, subset, budget, rep)
+        for budget in plan.budgets
+        for rep in range(1, plan.replications + 1)
+    ]
     if workers == 1:
         outcomes = [run_replication(task) for task in tasks]
     else:
@@ -298,10 +289,9 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
             )
         per_budget[budget] = summarize(estimates, truth)
 
-    points = [(b, s.rmse) for b, s in per_budget.items() if s.rmse > 0.0]
-    slope = fit_slope(points) if len(points) >= 2 else float("nan")
+    slope = fit_slope((b, s.rmse) for b, s in per_budget.items())
     return ConvergenceReport(
-        truth=truth, per_budget=per_budget, records=records, slope=slope
+        truth=truth, per_budget=per_budget, records=records, slope=slope, subset=named
     )
 
 
@@ -328,7 +318,7 @@ def render_csv(report: ConvergenceReport, plan: ExperimentPlan) -> str:
         ("budgets", "|".join(str(b) for b in plan.budgets)),
         ("replications", plan.replications),
         ("model", Path(plan.model_config).name),
-        ("subset", "|".join(str(s) for s in plan.subset) if plan.subset else ""),
+        ("subset", "|".join(str(s) for s in report.subset or ())),
         ("base", plan.base),
         ("ratio", repr(plan.level_ratio)),
         ("gamma", repr(float(plan.gamma))),

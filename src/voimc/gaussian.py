@@ -37,7 +37,6 @@ __all__ = [
     "make_gaussian_model",
     "evppi_from_moments",
     "analytic_evppi",
-    "analytic_evpi",
     "load_model_config",
 ]
 
@@ -171,11 +170,6 @@ def analytic_evppi(config: GaussianLinearModel, revealed) -> float:
         (config.weights[ix - 1] * config.stds[ix - 1]) ** 2 for ix in revealed
     )
     return evppi_from_moments(mean_total, math.sqrt(var))
-
-
-def analytic_evpi(config: GaussianLinearModel) -> float:
-    """Exact value of perfect information: reveal every coordinate."""
-    return analytic_evppi(config, range(1, config.dimension + 1))
 
 
 _REQUIRED_KEYS = ("s", "w0", "w", "mu", "sigma")

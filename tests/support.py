@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from voimc import DecisionModel, GaussianLinearModel, PriorSampler
+from voimc import DecisionModel, GaussianLinearModel, PriorSampler, analytic_evppi
 from voimc.estimators import _level_term
 
 _PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
@@ -84,6 +84,11 @@ def conditional_term(
 # ---------------------------------------------------------------------------
 # closed-form Gaussian helpers (independent of the library's estimator path)
 # ---------------------------------------------------------------------------
+
+
+def analytic_evpi(config: GaussianLinearModel) -> float:
+    """Exact value of perfect information: reveal every coordinate."""
+    return analytic_evppi(config, range(1, config.dimension + 1))
 
 
 def positive_part_mean(mean: float, std: float) -> float:

@@ -33,7 +33,6 @@ from voimc import (
     ExperimentPlan,
     LevelDistribution,
     RngStream,
-    analytic_evpi,
     analytic_evppi,
     draws_for_budget,
     evpi_mlmc,
@@ -46,6 +45,7 @@ from voimc.cli import main as cli_main
 
 from support import (
     TIE_CONFIG,
+    analytic_evpi,
     budget_rule_mean,
     conditional_correction_mean,
     conditional_term,

@@ -204,6 +204,15 @@ def test_refused_run_exits_two_without_output(args, benchmark_model_path, capsys
     assert not out.exists()
 
 
+def test_unwritable_out_exits_two(benchmark_model_path, capsys, tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    args = ["study", "--estimator", "evpi-nested", "--budgets", "16", "--reps", "1"]
+    code = main(args + ["--model", benchmark_model_path, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_study_stdout_when_no_out(benchmark_model_path, capsys):
     code = main(
         [

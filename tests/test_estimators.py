@@ -10,22 +10,26 @@ from voimc import (
     LevelDistribution,
     PriorSampler,
     RngStream,
-    analytic_evpi,
     analytic_evppi,
     evpi_mlmc,
     evpi_nested,
     evppi_mlmc,
     evppi_nested,
     make_gaussian_model,
-    nested_allocation,
     optimal_ratio,
 )
-from voimc.estimators import _accumulate_best_means, _level_term
+from voimc.estimators import (
+    _LEVEL_BYTES,
+    _accumulate_best_means,
+    _level_term,
+    nested_allocation,
+)
 
 from support import (
     OFFSET_CONFIG,
     TIE_CONFIG,
     DrawCounter,
+    analytic_evpi,
     budget_rule_mean,
     conditional_correction_mean,
     conditional_plugin_mean,
@@ -607,8 +611,8 @@ class TestMlmcEstimators:
     def test_oversized_level_sequence_refused_before_drawing(
         self, tie_setup, budget_rule
     ):
-        # a budget of 2**40 asks for more than 2**27 levels under either
-        # rule, 8 bytes each, so the run is refused before any level or
+        # a budget of 2**40 asks for more than 2**25 levels under either
+        # rule, _LEVEL_BYTES each, so the run is refused before any level or
         # sample is drawn
         model, _, factored = tie_setup
 
@@ -632,6 +636,36 @@ class TestMlmcEstimators:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("budget_rule", ["expected", "prefix"])
+    def test_level_sequence_peak_within_priced_bytes(self, tie_setup, budget_rule):
+        # the bound prices a level at _LEVEL_BYTES: building a sequence of
+        # about 2**18 levels must peak within that price plus fixed overhead
+        model, _, _ = tie_setup
+
+        class Sampled(Exception):
+            pass
+
+        def stop(_rng, _size):
+            raise Sampled
+
+        prior = PriorSampler(dimension=5, draw_fn=stop)
+        levels = 2**18  # the level count the bound checks, under either rule
+        if budget_rule == "expected":
+            budget = math.ceil(levels * DIST.expected_cost())
+        else:
+            budget = levels * DIST.base
+        tracemalloc.start()
+        try:
+            with pytest.raises(Sampled):
+                evpi_mlmc(
+                    model, prior, DIST, budget, "single", RngStream(0),
+                    budget_rule=budget_rule,
+                )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= levels * _LEVEL_BYTES + 2**16
 
     def test_per_level_bookkeeping(self, tie_setup):
         model, prior, _ = tie_setup

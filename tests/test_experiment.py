@@ -10,12 +10,11 @@ from voimc import (
     ExperimentPlan,
     RngStream,
     analytic_evppi,
-    fit_slope,
     render_csv,
     run_plan,
-    summarize,
     write_csv,
 )
+from voimc.experiment import fit_slope, summarize
 
 from support import TIE_CONFIG
 
@@ -66,18 +65,13 @@ class TestFitSlope:
         points = [(c, c**-0.5 * (1.0 + 0.05 * gen.standard_normal())) for c in budgets]
         assert fit_slope(points) == pytest.approx(0.5, abs=0.1)
 
-    def test_non_positive_rmse_excluded_with_warning(self):
+    def test_non_positive_rmse_excluded(self):
         points = [(256, 0.1), (1024, 0.05), (4096, 0.0)]
-        with pytest.warns(UserWarning, match="excluded"):
-            slope = fit_slope(points)
-        assert slope == pytest.approx(0.5, abs=1e-12)
+        assert fit_slope(points) == pytest.approx(0.5, abs=1e-12)
 
-    def test_too_few_usable_points_rejected(self):
-        with pytest.raises(ValueError):
-            fit_slope([(256, 0.1)])
-        with pytest.raises(ValueError):
-            with pytest.warns(UserWarning):
-                fit_slope([(256, 0.1), (1024, 0.0)])
+    def test_too_few_usable_points_give_nan(self):
+        assert math.isnan(fit_slope([(256, 0.1)]))
+        assert math.isnan(fit_slope([(256, 0.1), (1024, 0.0), (4096, -1.0)]))
 
 
 class TestPlanValidation:
@@ -88,6 +82,10 @@ class TestPlanValidation:
     def test_budgets_must_increase(self, benchmark_model_path):
         with pytest.raises(ValueError):
             ExperimentPlan("evpi-single", (256, 256), 1, benchmark_model_path)
+
+    def test_budgets_must_be_positive(self, benchmark_model_path):
+        with pytest.raises(ValueError, match="budgets must be positive"):
+            ExperimentPlan("evpi-single", (0, 16), 1, benchmark_model_path)
 
     def test_replications_positive(self, benchmark_model_path):
         with pytest.raises(ValueError):
@@ -142,6 +140,7 @@ class TestRunPlan:
         assert report.truth == pytest.approx(
             analytic_evppi(TIE_CONFIG, (1, 2)), abs=1e-14
         )
+        assert "#CONFIG,subset,1|2\n" in render_csv(report, plan)
 
     def test_every_estimator_name_runs(self, benchmark_model_path):
         for name in (

@@ -11,14 +11,13 @@ from voimc import (
     ConfigError,
     GaussianLinearModel,
     RngStream,
-    analytic_evpi,
     analytic_evppi,
-    evppi_from_moments,
     load_model_config,
     make_gaussian_model,
 )
+from voimc.gaussian import evppi_from_moments
 
-from support import TIE_CONFIG
+from support import TIE_CONFIG, analytic_evpi
 
 
 def _density(x):
