@@ -1,9 +1,10 @@
 """Command-line interface: one-shot estimates and full convergence studies.
 
 Exit codes: 0 on success, 2 on invalid arguments or configuration, when
-one draw or the level sequence of a run (32 bytes per level) would need more
-memory than the bound allows, or when the ``--out`` file cannot be written,
-3 when every replication exhausted its budget before the first draw.
+one draw or the level sequence of a run (16 bytes per level) would need more
+memory than the bound allows, or when ``--out`` cannot be opened for writing
+(checked before the run; a failed run leaves no new file), 3 when every
+replication exhausted its budget before the first draw.
 
 The CSV records the revealed subset as ``#CONFIG,subset``: ``--subset`` if
 given, otherwise the model file's ``subset``.
@@ -12,6 +13,7 @@ given, otherwise the model file's ``subset``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .experiment import (
@@ -19,7 +21,6 @@ from .experiment import (
     ExperimentPlan,
     render_csv,
     run_plan,
-    write_csv,
 )
 from .levels import BudgetExhaustedError
 
@@ -103,9 +104,34 @@ def _make_plan(args, budgets: tuple[int, ...], reps: int) -> ExperimentPlan:
     )
 
 
+def _run_and_write(plan: ExperimentPlan, out, workers: int = 1, echo: bool = False):
+    """Run ``plan`` and write its CSV to ``out``, or to stdout if ``echo``.
+
+    ``out`` is opened (for appending) before the run; if the run fails, an
+    existing file keeps its bytes and a file created here is removed.
+    """
+    if out is None:
+        report = run_plan(plan, workers=workers)
+        if echo:
+            sys.stdout.write(render_csv(report, plan))
+        return report
+    existed = os.path.exists(out)
+    handle = open(out, "a", newline="\n")
+    try:
+        with handle:
+            report = run_plan(plan, workers=workers)
+            handle.truncate(0)
+            handle.write(render_csv(report, plan))
+    except BaseException:
+        if not existed:
+            os.remove(out)
+        raise
+    return report
+
+
 def _cmd_estimate(args) -> int:
     plan = _make_plan(args, (args.budget,), 1)
-    report = run_plan(plan)
+    report = _run_and_write(plan, args.out)
     record = report.records[args.budget][0]
     print(f"estimator={plan.estimator}")
     print(f"budget={args.budget}")
@@ -114,18 +140,12 @@ def _cmd_estimate(args) -> int:
     print(f"error={record.estimate - report.truth!r}")
     print(f"cost_used={record.cost_used}")
     print(f"n_draws={record.n_draws}")
-    if args.out is not None:
-        write_csv(report, plan, args.out)
     return 0
 
 
 def _cmd_study(args) -> int:
     plan = _make_plan(args, args.budgets, args.reps)
-    report = run_plan(plan, workers=args.workers)
-    if args.out is not None:
-        write_csv(report, plan, args.out)
-    else:
-        sys.stdout.write(render_csv(report, plan))
+    report = _run_and_write(plan, args.out, workers=args.workers, echo=True)
     for budget in plan.budgets:
         s = report.per_budget[budget]
         print(f"# budget={budget} mean={s.mean!r} rmse={s.rmse!r}", file=sys.stderr)

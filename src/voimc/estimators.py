@@ -19,7 +19,9 @@ one reduction tree, models with a single decision or with constant payoffs
 cancel to exactly 0.0, the unweighted bracket of a level correction is
 non-negative for every realization (not merely in expectation), and the
 level-1 single/coupled coupling identity holds to the bit.  Tests rely on all
-three properties.
+three properties.  Multilevel draws are evaluated grouped by level, stacked
+into one payoff call and one `_terms` fold per chunk; the fold reduces each
+draw on its own, so every term has the bits it would have alone.
 """
 
 from __future__ import annotations
@@ -54,11 +56,14 @@ _BUDGET_RULES = ("expected", "prefix")
 # instead of exhausting memory.
 _MAX_DRAW_BYTES = 2**30
 
-# Peak bytes per level while a run builds its level sequence.  The expected
-# rule keeps the float64 uniforms, the ceil result and the int64 cast alive
-# together with the Python list they become (32.0 measured with tracemalloc);
-# the prefix rule peaks lower.
-_LEVEL_BYTES = 32
+# Peak bytes per counted level (max_levels in `_run`) up to a run's first
+# draw, by budget rule (tracemalloc).  Expected: 32.0 at 2**18 and 2**20
+# levels, inside `sample_levels`.  Prefix: 12.3-14.8 at 2**18 with the chunk
+# buffers, 9.2-9.8 at 2**20 (prefix list, int64 levels, values, indices).
+_LEVEL_BYTES = {"expected": 32, "prefix": 16}
+
+# Most payoff rows per part that one `_run` chunk stacks into a payoff call.
+_BATCH_ROWS = 2**14
 
 # Largest sample batch the nested estimators draw and evaluate at once.
 _NESTED_CHUNK = 65536
@@ -154,67 +159,58 @@ def _freeze_levels(acc: dict[int, _RunningMoments]) -> dict[int, LevelStats]:
 
 
 def _fold_blocks(values: np.ndarray, width: int) -> np.ndarray:
-    """Mean of consecutive length-``width`` groups along axis 0.
+    """Mean of consecutive length-``width`` groups along axis 1.
 
-    Summation is explicit and left-to-right so the grouping is identical
-    whether ``values`` is 1-D or has trailing axes; the exactness guarantees
-    in the module docstring depend on that.
+    Summation is explicit and left-to-right, entry by entry, so the grouping
+    is identical whatever the row count (axis 0) or trailing axes; the
+    exactness guarantees in the module docstring depend on that.
     """
-    grouped = values.reshape(-1, width, *values.shape[1:])
-    acc = grouped[:, 0].astype(np.float64, copy=True)
+    grouped = values.reshape(values.shape[0], -1, width, *values.shape[2:])
+    acc = grouped[:, :, 0].copy()
     for i in range(1, width):
-        acc += grouped[:, i]
+        acc += grouped[:, :, i]
     acc /= width
     return acc
 
 
-def _tree_mean(values: np.ndarray, width: int) -> float:
-    """Arithmetic mean of a length-width**k vector via repeated folds."""
-    while values.shape[0] > 1:
-        values = _fold_blocks(values, width)
-    return float(values[0])
+def _terms(
+    payoffs: np.ndarray, dist: LevelDistribution, level: int, variant: str
+) -> np.ndarray:
+    """Probability-weighted level corrections of n draws, from (n, base**level,
+    n_decisions) payoffs.
 
-
-def _level_brackets(payoffs: np.ndarray, base: int, level: int) -> list[float]:
-    """Unweighted correction brackets at scales 1..level from one payoff batch.
-
-    Element j-1 is the average over blocks of the best-decision block mean at
-    block size base**(j-1), minus the same at block size base**j, all from the
-    identical base**level rows of ``payoffs``.  Each element is >= 0 for every
-    realization, because averaging best values over sub-blocks can only beat
-    taking the best of the pooled averages.
+    Bracket j of a draw is the average over blocks of the best-decision block
+    mean at block size base**(j-1), minus the same at block size base**j; it
+    is >= 0 for every realization, because averaging best values over
+    sub-blocks can only beat taking the best of the pooled averages.  The
+    single term divides bracket ``level`` by pmf(level); the coupled sum adds
+    every bracket j <= level divided by the tail mass of the level law at j.
     """
-    if payoffs.shape[0] != base**level:
+    base = dist.base
+    if payoffs.shape[1] != base**level:
         raise ValueError(
             f"expected {base**level} payoff rows for level {level}, "
-            f"got {payoffs.shape[0]}"
+            f"got {payoffs.shape[1]}"
         )
-    block_means = payoffs
-    tree = [_tree_mean(block_means.max(axis=1), base)]
-    for _ in range(level):
-        block_means = _fold_blocks(block_means, base)
-        tree.append(_tree_mean(block_means.max(axis=1), base))
-    return [tree[j - 1] - tree[j] for j in range(1, level + 1)]
-
-
-def _level_term(
-    payoffs: np.ndarray, dist: LevelDistribution, level: int, variant: str
-) -> float:
-    """One probability-weighted level correction from base**level payoff rows.
-
-    The single term divides the scale-``level`` bracket by pmf(level); the
-    coupled sum adds the brackets at every scale j <= level, each divided by
-    the tail mass of the level law at j.
-    """
-    brackets = _level_brackets(payoffs, dist.base, level)
+    # tree[j]: mean over blocks of size base**j of the best block mean
+    tree = []
+    for j in range(level + 1):
+        if j:
+            payoffs = _fold_blocks(payoffs, base)  # block means at size base**j
+        best = payoffs.max(axis=2)
+        while best.shape[1] > 1:
+            best = _fold_blocks(best, base)
+        tree.append(best[:, 0])
     if variant == "single":
-        return brackets[-1] / dist.pmf(level)
+        return (tree[level - 1] - tree[level]) / dist.pmf(level)
     if variant == "coupled":
         # 1/tail(j) applied as (1/pmf(j)) * pmf(1), which is exact for the
         # geometric law and makes the level-1 coupled term bitwise equal to
         # pmf(1) times the single term on shared samples.
         head = dist.pmf(1)
-        return sum((b / dist.pmf(j)) * head for j, b in enumerate(brackets, start=1))
+        return sum(
+            ((tree[j - 1] - tree[j]) / dist.pmf(j)) * head for j in range(1, level + 1)
+        )
     raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
 
@@ -354,9 +350,17 @@ def evppi_nested(
 #   child(i)   all samples of draw i (i = 1..n): prior samples first, then,
 #              for the partial-information estimator only, the revealed block
 #              and its conditional samples
+# Draws are evaluated grouped by level, but draw i still owns child(i) and
+# makes the same sampler calls in the same order.
 # The perfect-information part of `evppi_mlmc` consumes the prefix of each
 # draw stream exactly as `evpi_mlmc` would, which keeps the two estimators
 # bit-identical on models whose conditional part is degenerate.
+
+
+def _payoffs(model: DecisionModel, samples: np.ndarray) -> np.ndarray:
+    """One payoff call over (n, rows, dimension) stacked samples."""
+    n, rows, dim = samples.shape
+    return model.payoff_matrix(samples.reshape(n * rows, dim)).reshape(n, rows, -1)
 
 
 def _check_variant(name: str, variant: str) -> None:
@@ -371,12 +375,13 @@ def _run(
     parts: int,
     dimension: int,
     rng: RngStream,
-    term: Callable[[np.random.Generator, int, int], float],
+    term: Callable[[int, np.ndarray], np.ndarray],
 ) -> EstimateResult:
     """One multilevel run in which every draw pays ``parts`` level costs.
 
-    ``term(gen, level, cost)`` is the correction of one draw, computed from
-    the draw's own generator and ``cost`` = base**level rows per part.
+    ``term(level, draws)`` returns the corrections of ``draws``, increasing
+    1-based indices of draws at ``level``, in chunks of at most ``_BATCH_ROWS``
+    rows per part (or one draw); values reach the moments in draw order.
     ``budget_rule`` spends ``budget`` as described in `evpi_mlmc`.
     """
     level_rng = rng.child(0).generator()
@@ -401,23 +406,25 @@ def _run(
         raise ValueError(
             f"budget_rule must be one of {_BUDGET_RULES}, got {budget_rule!r}"
         )
-    if max_levels * _LEVEL_BYTES > _MAX_DRAW_BYTES:
+    level_bytes = max_levels * _LEVEL_BYTES[budget_rule]
+    if level_bytes > _MAX_DRAW_BYTES:
         raise MemoryError(
             f"budget {budget} allows up to {max_levels} levels "
-            f"({max_levels * _LEVEL_BYTES} bytes), above the level-sequence bound of "
+            f"({level_bytes} bytes), above the level-sequence bound of "
             f"{_MAX_DRAW_BYTES} bytes; no levels were drawn"
         )
     if budget_rule == "expected":
-        levels = dist.sample_levels(level_rng, max_levels).tolist()
+        levels = dist.sample_levels(level_rng, max_levels)
     else:
         # a draw costs parts*base**l, so the prefix rule over budget reduces to
         # the plain rule over budget // parts
-        levels, _ = draws_for_budget(dist, budget // parts, level_rng)
-        if not levels:
+        levels = np.array(draws_for_budget(dist, budget // parts, level_rng)[0])
+        if levels.shape[0] == 0:
             raise BudgetExhaustedError(
                 f"first drawn level does not fit within budget {budget}"
             )
-    deepest = max(levels)
+    counts = np.bincount(levels)
+    deepest = counts.shape[0] - 1
     needed = dist.cost(deepest) * dimension * 8
     if needed > _MAX_DRAW_BYTES:
         raise MemoryError(
@@ -425,19 +432,26 @@ def _run(
             f"{dimension} coordinates ({needed} bytes), above the per-draw "
             f"bound of {_MAX_DRAW_BYTES} bytes; no samples were drawn"
         )
+    n = levels.shape[0]
+    values = np.empty(n)
+    per_level = {level: _RunningMoments() for level in np.flatnonzero(counts).tolist()}
+    for level in per_level:
+        drawn = np.flatnonzero(levels == level)
+        step = max(1, _BATCH_ROWS // dist.cost(level))
+        for start in range(0, drawn.shape[0], step):
+            chunk = drawn[start : start + step]
+            values[chunk] = term(level, chunk + 1)
+    cost = sum(dist.cost(level) * int(counts[level]) for level in per_level)
     moments = _RunningMoments()
-    per_level: dict[int, _RunningMoments] = {}
-    cost_used = 0
-    for i, level in enumerate(levels, start=1):
-        cost = dist.cost(level)
-        value = term(rng.child(i).generator(), level, cost)
-        moments.add(value)
-        per_level.setdefault(level, _RunningMoments()).add(value)
-        cost_used += parts * cost
+    for start in range(0, n, _BATCH_ROWS):
+        part = slice(start, start + _BATCH_ROWS)
+        for level, value in zip(levels[part].tolist(), values[part].tolist()):
+            moments.add(value)
+            per_level[level].add(value)
     return EstimateResult(
         estimate=float(moments.mean),
-        n_draws=len(levels),
-        cost_used=cost_used,
+        n_draws=n,
+        cost_used=parts * cost,
         term_variance=moments.sample_variance,
         per_level=_freeze_levels(per_level),
     )
@@ -473,15 +487,18 @@ def evpi_mlmc(
       `run_plan` and the CLI use this rule.
 
     Raises MemoryError before drawing any level when the level sequence could
-    need more than 2**30 bytes (32 bytes per level), and before sampling when
-    one draw would need more than 2**30 bytes of samples
+    need more than 2**30 bytes (``_LEVEL_BYTES`` per level, by rule), and
+    before sampling when one draw would need more than 2**30 bytes of samples
     (base**level * dimension * 8).
     """
     _check_variant("variant", variant)
 
-    def term(gen: np.random.Generator, level: int, cost: int) -> float:
-        payoffs = model.payoff_matrix(prior.draw(gen, cost))
-        return _level_term(payoffs, dist, level, variant)
+    def term(level: int, draws: np.ndarray) -> np.ndarray:
+        cost = dist.cost(level)
+        samples = np.empty((draws.shape[0], cost, model.dimension))
+        for k, i in enumerate(draws.tolist()):
+            samples[k] = prior.draw(rng.child(i).generator(), cost)
+        return _terms(_payoffs(model, samples), dist, level, variant)
 
     return _run(dist, budget, budget_rule, 1, model.dimension, rng, term)
 
@@ -513,12 +530,16 @@ def evppi_mlmc(
     _check_variant("variant_y", variant_y)
     _check_variant("variant_z", variant_z)
 
-    def term(gen: np.random.Generator, level: int, cost: int) -> float:
-        payoffs = model.payoff_matrix(prior.draw(gen, cost))
-        value_y = _level_term(payoffs, dist, level, variant_y)
-        revealed_values = factored.draw_marginal(gen, 1)[0]
-        hidden = factored.draw_conditional(revealed_values, gen, cost)
-        payoffs = model.payoff_matrix(factored.combine(revealed_values, hidden))
-        return value_y - _level_term(payoffs, dist, level, variant_z)
+    def term(level: int, draws: np.ndarray) -> np.ndarray:
+        cost = dist.cost(level)
+        samples = np.empty((2, draws.shape[0], cost, model.dimension))
+        for k, i in enumerate(draws.tolist()):
+            gen = rng.child(i).generator()
+            samples[0, k] = prior.draw(gen, cost)
+            revealed_values = factored.draw_marginal(gen, 1)[0]
+            hidden = factored.draw_conditional(revealed_values, gen, cost)
+            samples[1, k] = factored.combine(revealed_values, hidden)
+        value_y = _terms(_payoffs(model, samples[0]), dist, level, variant_y)
+        return value_y - _terms(_payoffs(model, samples[1]), dist, level, variant_z)
 
     return _run(dist, budget, budget_rule, 2, model.dimension, rng, term)

@@ -8,8 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from voimc import DecisionModel, GaussianLinearModel, PriorSampler, analytic_evppi
-from voimc.estimators import _level_term
+from voimc import (
+    DecisionModel,
+    GaussianLinearModel,
+    PriorSampler,
+    analytic_evppi,
+    draws_for_budget,
+)
+from voimc.estimators import EstimateResult, _freeze_levels, _RunningMoments, _terms
 
 _PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -66,9 +72,9 @@ class DrawCounter:
 
 def prior_term(model, prior, level: int, dist, gen, variant: str) -> float:
     """One perfect-information level term, sampled as `evpi_mlmc` samples it:
-    base**level fresh prior rows from ``gen``, then `_level_term`."""
+    base**level fresh prior rows from ``gen``, then `_terms` on that one draw."""
     payoffs = model.payoff_matrix(prior.draw(gen, dist.cost(level)))
-    return _level_term(payoffs, dist, level, variant)
+    return float(_terms(payoffs[None], dist, level, variant)[0])
 
 
 def conditional_term(
@@ -78,7 +84,43 @@ def conditional_term(
     `evppi_mlmc` samples it: base**level conditional rows from ``gen``."""
     hidden = factored.draw_conditional(revealed_values, gen, dist.cost(level))
     payoffs = model.payoff_matrix(factored.combine(revealed_values, hidden))
-    return _level_term(payoffs, dist, level, variant)
+    return float(_terms(payoffs[None], dist, level, variant)[0])
+
+
+def per_draw_run(
+    model, prior, dist, budget: int, variants, rng, budget_rule: str, factored=None
+) -> EstimateResult:
+    """`evpi_mlmc` (``factored`` None, ``variants`` = (variant,)) or
+    `evppi_mlmc` (``variants`` = (variant_y, variant_z)) evaluated draw by
+    draw in draw order, as the run loop did before it grouped draws by level:
+    draw i builds ``rng.child(i)``'s generator, computes its terms through
+    `prior_term` / `conditional_term`, and feeds the moments at once."""
+    parts = 1 if factored is None else 2
+    level_rng = rng.child(0).generator()
+    if budget_rule == "expected":
+        count = math.floor(budget / (parts * dist.expected_cost()))
+        levels = dist.sample_levels(level_rng, count).tolist()
+    else:
+        levels, _ = draws_for_budget(dist, budget // parts, level_rng)
+    moments = _RunningMoments()
+    per_level: dict[int, _RunningMoments] = {}
+    for i, level in enumerate(levels, start=1):
+        gen = rng.child(i).generator()
+        value = prior_term(model, prior, level, dist, gen, variants[0])
+        if factored is not None:
+            revealed = factored.draw_marginal(gen, 1)[0]
+            value -= conditional_term(
+                model, factored, revealed, level, dist, gen, variants[1]
+            )
+        moments.add(value)
+        per_level.setdefault(level, _RunningMoments()).add(value)
+    return EstimateResult(
+        estimate=float(moments.mean),
+        n_draws=len(levels),
+        cost_used=parts * sum(dist.cost(level) for level in levels),
+        term_variance=moments.sample_variance,
+        per_level=_freeze_levels(per_level),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -204,13 +204,35 @@ def test_refused_run_exits_two_without_output(args, benchmark_model_path, capsys
     assert not out.exists()
 
 
-def test_unwritable_out_exits_two(benchmark_model_path, capsys, tmp_path):
+def test_unwritable_out_exits_two(benchmark_model_path, capsys, tmp_path, monkeypatch):
+    # --out is opened before the plan runs, so not one replication runs
+    def never(*_args, **_kwargs):
+        pytest.fail("ran the plan before opening --out")
+
+    monkeypatch.setattr("voimc.cli.run_plan", never)
     out = tmp_path / "missing" / "x.csv"
-    args = ["study", "--estimator", "evpi-nested", "--budgets", "16", "--reps", "1"]
-    code = main(args + ["--model", benchmark_model_path, "--out", str(out)])
-    assert code == 2
+    for args in (
+        ["study", "--estimator", "evpi-nested", "--budgets", "16", "--reps", "1"],
+        ["estimate", "--estimator", "evpi-nested", "--budget", "16"],
+    ):
+        code = main(args + ["--model", benchmark_model_path, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+
+def test_failed_run_keeps_existing_out(benchmark_model_path, capsys, tmp_path):
+    # the run is refused inside run_plan, after --out is opened; the file
+    # keeps its old bytes until a run succeeds and replaces all of them
+    out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+    out.write_text("previous results\n" * 1000)
+    args = ["estimate", "--estimator", "evpi-coupled", "--model", benchmark_model_path]
+    assert main(args + ["--budget", "1099511627776", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
-    assert not out.exists()
+    assert out.read_text() == "previous results\n" * 1000
+    assert main(args + ["--budget", "64", "--out", str(out)]) == 0
+    assert main(args + ["--budget", "64", "--out", str(fresh)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
 
 
 def test_study_stdout_when_no_out(benchmark_model_path, capsys):

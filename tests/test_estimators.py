@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voimc import (
     BudgetExhaustedError,
@@ -18,10 +20,12 @@ from voimc import (
     make_gaussian_model,
     optimal_ratio,
 )
+from voimc import estimators
 from voimc.estimators import (
+    _BATCH_ROWS,
     _LEVEL_BYTES,
     _accumulate_best_means,
-    _level_term,
+    _terms,
     nested_allocation,
 )
 
@@ -36,6 +40,7 @@ from support import (
     conditional_term,
     constant_model,
     level_correction_mean,
+    per_draw_run,
     plugin_mean,
     prior_term,
     single_decision_model,
@@ -280,8 +285,8 @@ class TestLevelTermsAgainstExplicitReference:
         dist = LevelDistribution(base, optimal_ratio(base, 1))
         samples = prior.draw(RngStream(20, (base, level)).generator(), base**level)
         payoffs = model.payoff_matrix(samples)
-        single = _level_term(payoffs, dist, level, "single")
-        coupled = _level_term(payoffs, dist, level, "coupled")
+        single = _terms(payoffs[None], dist, level, "single")[0]
+        coupled = _terms(payoffs[None], dist, level, "coupled")[0]
         assert single == pytest.approx(
             self._reference_single(payoffs, base, level, dist), rel=1e-12, abs=1e-13
         )
@@ -291,7 +296,7 @@ class TestLevelTermsAgainstExplicitReference:
         # a level-l term consumes exactly base**l rows
         for variant in ("single", "coupled"):
             with pytest.raises(ValueError):
-                _level_term(payoffs[1:], dist, level, variant)
+                _terms(payoffs[None, 1:], dist, level, variant)
 
     def test_conditional_terms_match_reference(self, tie_setup):
         model, prior, _ = tie_setup
@@ -314,6 +319,74 @@ class TestLevelTermsAgainstExplicitReference:
         assert coupled == pytest.approx(
             self._reference_coupled(payoffs, base, level, DIST), rel=1e-12, abs=1e-13
         )
+
+
+def _sequential_fold(values: list, width: int) -> list:
+    out = []
+    for k in range(0, len(values), width):
+        acc = values[k]
+        for i in range(1, width):
+            acc += values[k + i]
+        out.append(acc / width)
+    return out
+
+
+def _scalar_term(payoffs: np.ndarray, dist, level: int, variant: str) -> float:
+    """The term of one (base**level, n_decisions) draw in plain Python floats,
+    every block summed left to right and then divided by its width."""
+    columns = [payoffs[:, d].tolist() for d in range(payoffs.shape[1])]
+    tree = []
+    for j in range(level + 1):
+        if j:
+            columns = [_sequential_fold(c, dist.base) for c in columns]
+        best = [max(row) for row in zip(*columns)]
+        while len(best) > 1:
+            best = _sequential_fold(best, dist.base)
+        tree.append(best[0])
+    if variant == "single":
+        return (tree[level - 1] - tree[level]) / dist.pmf(level)
+    total = 0.0
+    for j in range(1, level + 1):
+        total += ((tree[j - 1] - tree[j]) / dist.pmf(j)) * dist.pmf(1)
+    return total
+
+
+@st.composite
+def stacked_payoffs(draw):
+    """(base, level, payoffs) with payoffs of shape (n, base**level, K),
+    optionally rounded to integers (exact ties within and across decisions)
+    and with constant decision columns."""
+    base = draw(st.integers(2, 4))
+    level = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    payoffs = gen.normal(size=(n, base**level, k)) * draw(
+        st.sampled_from([1e-3, 1.0, 3.0, 1e6])
+    )
+    if draw(st.booleans()):
+        payoffs = np.round(payoffs) + 0.0  # + 0.0 turns -0.0 into 0.0
+    for d in range(k):
+        if draw(st.booleans()):
+            payoffs[:, :, d] = draw(st.sampled_from([0.0, 0.1, -2.7, 3.0]))
+    return base, level, payoffs
+
+
+class TestTermsRowIndependence:
+    """`_terms` on stacked draws gives every draw the bits it has alone, and
+    those bits are the left-to-right block sums of the module docstring."""
+
+    @given(case=stacked_payoffs(), variant=st.sampled_from(["single", "coupled"]))
+    @settings(deadline=None, max_examples=80)
+    def test_rows_match_alone_and_scalar_reference_bitwise(self, case, variant):
+        base, level, payoffs = case
+        dist = LevelDistribution(base, optimal_ratio(base, 1))
+        stacked = _terms(payoffs, dist, level, variant)
+        assert stacked.shape == (payoffs.shape[0],)
+        for row, value in zip(payoffs, stacked.tolist()):
+            alone = float(_terms(row[None], dist, level, variant)[0])
+            scalar = _scalar_term(row, dist, level, variant)
+            assert value.hex() == alone.hex() == scalar.hex()
 
 
 class TestDegenerateExactness:
@@ -612,8 +685,8 @@ class TestMlmcEstimators:
         self, tie_setup, budget_rule
     ):
         # a budget of 2**40 asks for more than 2**25 levels under either
-        # rule, _LEVEL_BYTES each, so the run is refused before any level or
-        # sample is drawn
+        # rule, priced at _LEVEL_BYTES[budget_rule] each, above the bound, so
+        # the run is refused before any level or sample is drawn
         model, _, factored = tie_setup
 
         def never(_rng, _size):
@@ -639,8 +712,9 @@ class TestMlmcEstimators:
 
     @pytest.mark.parametrize("budget_rule", ["expected", "prefix"])
     def test_level_sequence_peak_within_priced_bytes(self, tie_setup, budget_rule):
-        # the bound prices a level at _LEVEL_BYTES: building a sequence of
-        # about 2**18 levels must peak within that price plus fixed overhead
+        # the bound prices a level at _LEVEL_BYTES[budget_rule]: building a
+        # sequence of about 2**18 levels must peak within that price plus
+        # fixed overhead
         model, _, _ = tie_setup
 
         class Sampled(Exception):
@@ -665,7 +739,58 @@ class TestMlmcEstimators:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= levels * _LEVEL_BYTES + 2**16
+        assert peak <= levels * _LEVEL_BYTES[budget_rule] + 2**16
+
+    @staticmethod
+    def _grouped_and_per_draw(setup, dist, budget, variants, budget_rule):
+        model, prior, factored = setup
+        rng = RngStream(60, (budget,))
+        if len(variants) == 1:
+            factored = None
+            grouped = evpi_mlmc(
+                model, prior, dist, budget, variants[0], rng, budget_rule=budget_rule
+            )
+        else:
+            grouped = evppi_mlmc(
+                model, factored, prior, dist, budget, *variants, rng=rng,
+                budget_rule=budget_rule,
+            )
+        return grouped, per_draw_run(
+            model, prior, dist, budget, variants, rng, budget_rule, factored
+        )
+
+    @pytest.mark.parametrize(
+        "variants",
+        [("single",), ("coupled",), ("single", "coupled"), ("coupled", "single")],
+        ids=["evpi-single", "evpi-coupled", "evppi-single-coupled", "evppi-coupled-single"],
+    )
+    @pytest.mark.parametrize("base", [2, 3])
+    @pytest.mark.parametrize("budget_rule", ["expected", "prefix"])
+    def test_grouped_run_matches_per_draw_run_bitwise(
+        self, tie_setup, monkeypatch, budget_rule, base, variants
+    ):
+        # 8-row chunks split every level into several chunks, and give each
+        # draw above 8 rows a chunk of its own
+        monkeypatch.setattr(estimators, "_BATCH_ROWS", 8)
+        dist = LevelDistribution(base, optimal_ratio(base, 1))
+        budget = 2048 * len(variants)
+        grouped, reference = self._grouped_and_per_draw(
+            tie_setup, dist, budget, variants, budget_rule
+        )
+        assert max(dist.cost(level) for level in grouped.per_level) > 8
+        assert repr(grouped) == repr(reference)
+
+    @pytest.mark.parametrize("budget_rule", ["expected", "prefix"])
+    def test_level_spanning_chunks_matches_per_draw_run_bitwise(
+        self, tie_setup, budget_rule
+    ):
+        # about 14,800 draws, some 9,600 at level 1: more than the 8,192
+        # two-row draws of one _BATCH_ROWS chunk
+        grouped, reference = self._grouped_and_per_draw(
+            tie_setup, DIST, 2**17, ("single", "coupled"), budget_rule
+        )
+        assert grouped.per_level[1].count > _BATCH_ROWS // DIST.cost(1)
+        assert repr(grouped) == repr(reference)
 
     def test_per_level_bookkeeping(self, tie_setup):
         model, prior, _ = tie_setup
