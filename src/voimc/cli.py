@@ -1,10 +1,10 @@
 """Command-line interface: one-shot estimates and full convergence studies.
 
 Exit codes: 0 on success, 2 on invalid arguments or configuration, when
-one draw or the level sequence of a run (16 bytes per level) would need more
-memory than the bound allows, or when ``--out`` cannot be opened for writing
-(checked before the run; a failed run leaves no new file), 3 when every
-replication exhausted its budget before the first draw.
+one draw or the prefix level sequence of a run (8 bytes per counted level)
+would need more memory than the bound allows, or when ``--out`` cannot be
+opened for writing (checked before the run; a failed run leaves no new
+file), 3 when every replication exhausted its budget before the first draw.
 
 The CSV records the revealed subset as ``#CONFIG,subset``: ``--subset`` if
 given, otherwise the model file's ``subset``.

@@ -19,9 +19,11 @@ one reduction tree, models with a single decision or with constant payoffs
 cancel to exactly 0.0, the unweighted bracket of a level correction is
 non-negative for every realization (not merely in expectation), and the
 level-1 single/coupled coupling identity holds to the bit.  Tests rely on all
-three properties.  Multilevel draws are evaluated grouped by level, stacked
-into one payoff call and one `_terms` fold per chunk; the fold reduces each
-draw on its own, so every term has the bits it would have alone.
+three properties.  A multilevel run needs only how many draws land on each
+level; the draws of one level are sampled from one stream per part and
+evaluated in chunks, stacked into one payoff call and one `_terms` fold per
+chunk.  The fold reduces each draw on its own, so every term has the bits it
+would have alone, whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -50,17 +52,16 @@ _VARIANTS = ("single", "coupled")
 _BUDGET_RULES = ("expected", "prefix")
 
 # Largest block one multilevel run may allocate at once: the samples of one
-# draw (base**level rows of the full parameter vector in float64) or its level
-# sequence.  Levels are uncapped under the expected-cost budget rule and the
-# level count grows with the budget, so either is refused before it is drawn
-# instead of exhausting memory.
+# draw (base**level rows of the full parameter vector in float64) or the
+# prefix rule's level sequence.  Levels are uncapped under the expected-cost
+# budget rule and the prefix sequence grows with the budget, so either is
+# refused before it is drawn instead of exhausting memory.
 _MAX_DRAW_BYTES = 2**30
 
-# Peak bytes per counted level (max_levels in `_run`) up to a run's first
-# draw, by budget rule (tracemalloc).  Expected: 32.0 at 2**18 and 2**20
-# levels, inside `sample_levels`.  Prefix: 12.3-14.8 at 2**18 with the chunk
-# buffers, 9.2-9.8 at 2**20 (prefix list, int64 levels, values, indices).
-_LEVEL_BYTES = {"expected": 32, "prefix": 16}
+# Peak bytes per counted level (budget // (parts * base)) of the prefix rule
+# up to a run's first sample, the level list and its bincount: 6.2-6.6 at
+# 2**18-2**20 counted levels (tracemalloc).
+_LEVEL_BYTES = 8
 
 # Most payoff rows per part that one `_run` chunk stacks into a payoff call.
 _BATCH_ROWS = 2**14
@@ -114,12 +115,6 @@ class _RunningMoments:
         self.count = 0
         self.mean = 0.0
         self._m2 = 0.0
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
 
     def add_many(self, values: np.ndarray) -> None:
         k = int(values.shape[0])
@@ -242,6 +237,15 @@ def _floor_power(budget: int, exponent: float) -> int:
     return int(np.floor(x * (1.0 + 1e-12) + 1e-12))
 
 
+def _chunks(count: int, rows: int, max_rows: int) -> Iterator[int]:
+    """Sizes of the chunks that ``count`` draws of ``rows`` rows each take:
+    whole draws, at most ``max_rows`` rows (one draw if a single draw is
+    larger)."""
+    step = max(1, max_rows // rows)
+    for start in range(0, count, step):
+        yield min(step, count - start)
+
+
 def _payoff_chunks(
     model: DecisionModel,
     prior: PriorSampler,
@@ -250,8 +254,8 @@ def _payoff_chunks(
 ) -> Iterator[np.ndarray]:
     """Payoffs of ``draws`` prior samples from ``gen``, in batches of at most
     ``_NESTED_CHUNK`` rows."""
-    for start in range(0, draws, _NESTED_CHUNK):
-        yield model.payoff_matrix(prior.draw(gen, min(_NESTED_CHUNK, draws - start)))
+    for n in _chunks(draws, 1, _NESTED_CHUNK):
+        yield model.payoff_matrix(prior.draw(gen, n))
 
 
 def _accumulate_best_means(
@@ -320,16 +324,21 @@ def evppi_nested(
     decision of an ``inner_draws``-sample conditional mean, averages those
     bests, and subtracts the baseline term of `evpi_nested`.  Both terms carry
     finite-sample Jensen bias.  Cost: outer_draws*inner_draws + baseline_draws.
+    The revealed blocks come from one stream and the conditional samples of
+    every outer draw from another, in chunks of whole outer draws of at most
+    ``_NESTED_CHUNK`` rows.
     """
     if outer_draws < 1 or inner_draws < 1 or baseline_draws < 1:
         raise ValueError("all draw counts must be >= 1")
-    revealed = factored.draw_marginal(rng.child(0).generator(), outer_draws)
+    revealed_gen = rng.child(0).generator()
+    hidden_gen = rng.child(2).generator()
     moments = _RunningMoments()
-    for i in range(1, outer_draws + 1):
-        gen = rng.child(2, i).generator()
-        hidden = factored.draw_conditional(revealed[i - 1], gen, inner_draws)
-        payoffs = model.payoff_matrix(factored.combine(revealed[i - 1], hidden))
-        moments.add(float(payoffs.mean(axis=0).max()))
+    for n in _chunks(outer_draws, inner_draws, _NESTED_CHUNK):
+        revealed = factored.draw_marginal(revealed_gen, n)
+        hidden = factored.draw_conditional(revealed, hidden_gen, inner_draws)
+        payoffs = model.payoff_matrix(factored.combine(revealed, hidden))
+        del hidden  # free the samples before the next chunk is drawn
+        moments.add_many(payoffs.reshape(n, inner_draws, -1).mean(axis=1).max(axis=1))
     baseline = _accumulate_best_means(
         model, prior, baseline_draws, rng.child(1).generator()
     )
@@ -346,21 +355,16 @@ def evppi_nested(
 # ---------------------------------------------------------------------------
 #
 # Stream layout shared by both estimators (rng is the run's root stream):
-#   child(0)   level sequence, generated serially before any draws
-#   child(i)   all samples of draw i (i = 1..n): prior samples first, then,
-#              for the partial-information estimator only, the revealed block
-#              and its conditional samples
-# Draws are evaluated grouped by level, but draw i still owns child(i) and
-# makes the same sampler calls in the same order.
-# The perfect-information part of `evppi_mlmc` consumes the prefix of each
-# draw stream exactly as `evpi_mlmc` would, which keeps the two estimators
-# bit-identical on models whose conditional part is degenerate.
-
-
-def _payoffs(model: DecisionModel, samples: np.ndarray) -> np.ndarray:
-    """One payoff call over (n, rows, dimension) stacked samples."""
-    n, rows, dim = samples.shape
-    return model.payoff_matrix(samples.reshape(n * rows, dim)).reshape(n, rows, -1)
+#   child(0)      the number of draws at each level, drawn before any sample
+#   child(1, l)   the prior samples of every draw at level l
+#   child(2, l)   the revealed blocks of every draw at level l  } partial
+#   child(3, l)   their conditional samples                    } information
+# Each level is consumed in chunks of whole draws (`_chunks`).  A stream
+# serves one kind of sample only, so it yields the same samples whatever the
+# chunk size, and no samples are held beyond the current chunk.  The
+# perfect-information part of `evppi_mlmc` reads child(1, l) exactly as
+# `evpi_mlmc` does, which keeps the two estimators bit-identical on models
+# whose conditional part is degenerate.
 
 
 def _check_variant(name: str, variant: str) -> None:
@@ -375,25 +379,25 @@ def _run(
     parts: int,
     dimension: int,
     rng: RngStream,
-    term: Callable[[int, np.ndarray], np.ndarray],
+    term: Callable[[int, int], Iterator[np.ndarray]],
 ) -> EstimateResult:
     """One multilevel run in which every draw pays ``parts`` level costs.
 
-    ``term(level, draws)`` returns the corrections of ``draws``, increasing
-    1-based indices of draws at ``level``, in chunks of at most ``_BATCH_ROWS``
-    rows per part (or one draw); values reach the moments in draw order.
+    ``term(level, count)`` yields the corrections of the ``count`` draws at
+    ``level``, chunk by chunk; each chunk reaches the moments as it comes.
     ``budget_rule`` spends ``budget`` as described in `evpi_mlmc`.
     """
     level_rng = rng.child(0).generator()
     if budget_rule == "expected":
         draw_cost = parts * dist.expected_cost()
-        max_levels = math.floor(budget / draw_cost)
-        if max_levels == 0:
+        n = math.floor(budget / draw_cost)
+        if n == 0:
             raise ValueError(
                 f"budget {budget} is below the expected cost of one draw "
                 f"({draw_cost:.6g}); the expected budget rule needs a budget of "
                 f"at least {math.ceil(draw_cost)}"
             )
+        counts = dist.level_counts(level_rng, n)
     elif budget_rule == "prefix":
         if budget < parts * dist.cost(1):
             raise ValueError(
@@ -402,28 +406,25 @@ def _run(
             )
         # every level costs at least base per part
         max_levels = budget // (parts * dist.base)
+        level_bytes = max_levels * _LEVEL_BYTES
+        if level_bytes > _MAX_DRAW_BYTES:
+            raise MemoryError(
+                f"budget {budget} allows up to {max_levels} levels "
+                f"({level_bytes} bytes), above the level-sequence bound of "
+                f"{_MAX_DRAW_BYTES} bytes; no levels were drawn"
+            )
+        # a draw costs parts*base**l, so the prefix rule over budget reduces to
+        # the plain rule over budget // parts
+        counts = np.bincount(draws_for_budget(dist, budget // parts, level_rng)[0])
+        n = int(counts.sum())
+        if n == 0:
+            raise BudgetExhaustedError(
+                f"first drawn level does not fit within budget {budget}"
+            )
     else:
         raise ValueError(
             f"budget_rule must be one of {_BUDGET_RULES}, got {budget_rule!r}"
         )
-    level_bytes = max_levels * _LEVEL_BYTES[budget_rule]
-    if level_bytes > _MAX_DRAW_BYTES:
-        raise MemoryError(
-            f"budget {budget} allows up to {max_levels} levels "
-            f"({level_bytes} bytes), above the level-sequence bound of "
-            f"{_MAX_DRAW_BYTES} bytes; no levels were drawn"
-        )
-    if budget_rule == "expected":
-        levels = dist.sample_levels(level_rng, max_levels)
-    else:
-        # a draw costs parts*base**l, so the prefix rule over budget reduces to
-        # the plain rule over budget // parts
-        levels = np.array(draws_for_budget(dist, budget // parts, level_rng)[0])
-        if levels.shape[0] == 0:
-            raise BudgetExhaustedError(
-                f"first drawn level does not fit within budget {budget}"
-            )
-    counts = np.bincount(levels)
     deepest = counts.shape[0] - 1
     needed = dist.cost(deepest) * dimension * 8
     if needed > _MAX_DRAW_BYTES:
@@ -432,22 +433,14 @@ def _run(
             f"{dimension} coordinates ({needed} bytes), above the per-draw "
             f"bound of {_MAX_DRAW_BYTES} bytes; no samples were drawn"
         )
-    n = levels.shape[0]
-    values = np.empty(n)
-    per_level = {level: _RunningMoments() for level in np.flatnonzero(counts).tolist()}
-    for level in per_level:
-        drawn = np.flatnonzero(levels == level)
-        step = max(1, _BATCH_ROWS // dist.cost(level))
-        for start in range(0, drawn.shape[0], step):
-            chunk = drawn[start : start + step]
-            values[chunk] = term(level, chunk + 1)
-    cost = sum(dist.cost(level) * int(counts[level]) for level in per_level)
     moments = _RunningMoments()
-    for start in range(0, n, _BATCH_ROWS):
-        part = slice(start, start + _BATCH_ROWS)
-        for level, value in zip(levels[part].tolist(), values[part].tolist()):
-            moments.add(value)
-            per_level[level].add(value)
+    per_level: dict[int, _RunningMoments] = {}
+    for level in np.flatnonzero(counts).tolist():
+        per_level[level] = _RunningMoments()
+        for values in term(level, int(counts[level])):
+            per_level[level].add_many(values)
+            moments.add_many(values)
+    cost = sum(dist.cost(level) * int(counts[level]) for level in per_level)
     return EstimateResult(
         estimate=float(moments.mean),
         n_draws=n,
@@ -476,7 +469,8 @@ def evpi_mlmc(
       draws with uncapped levels.  A fixed number of unbiased terms averages
       to an unbiased estimate (the fixed-replicate form of Rhee and Glynn,
       Operations Research 63(5), 2015); ``budget`` is the expected cost of
-      the run and the realized ``cost_used`` may exceed it.  Raises
+      the run and the realized ``cost_used`` may exceed it.  Only the number
+      of draws at each level is drawn, never a level sequence.  Raises
       ValueError, naming the minimum, when the budget is below one draw's
       expected cost.
     * ``"prefix"``: draws levels until their cumulative cost base**l would
@@ -486,19 +480,19 @@ def evpi_mlmc(
       the first level does not fit (re-drawing it would tilt the level law).
       `run_plan` and the CLI use this rule.
 
-    Raises MemoryError before drawing any level when the level sequence could
-    need more than 2**30 bytes (``_LEVEL_BYTES`` per level, by rule), and
-    before sampling when one draw would need more than 2**30 bytes of samples
-    (base**level * dimension * 8).
+    Raises MemoryError before drawing any level when the prefix rule's level
+    sequence could need more than 2**30 bytes (``_LEVEL_BYTES`` per counted
+    level), and under either rule before sampling when one draw would need
+    more than 2**30 bytes of samples (base**level * dimension * 8).
     """
     _check_variant("variant", variant)
 
-    def term(level: int, draws: np.ndarray) -> np.ndarray:
+    def term(level: int, count: int) -> Iterator[np.ndarray]:
         cost = dist.cost(level)
-        samples = np.empty((draws.shape[0], cost, model.dimension))
-        for k, i in enumerate(draws.tolist()):
-            samples[k] = prior.draw(rng.child(i).generator(), cost)
-        return _terms(_payoffs(model, samples), dist, level, variant)
+        gen = rng.child(1, level).generator()
+        for n in _chunks(count, cost, _BATCH_ROWS):
+            payoffs = model.payoff_matrix(prior.draw(gen, n * cost))
+            yield _terms(payoffs.reshape(n, cost, -1), dist, level, variant)
 
     return _run(dist, budget, budget_rule, 1, model.dimension, rng, term)
 
@@ -530,16 +524,17 @@ def evppi_mlmc(
     _check_variant("variant_y", variant_y)
     _check_variant("variant_z", variant_z)
 
-    def term(level: int, draws: np.ndarray) -> np.ndarray:
+    def term(level: int, count: int) -> Iterator[np.ndarray]:
         cost = dist.cost(level)
-        samples = np.empty((2, draws.shape[0], cost, model.dimension))
-        for k, i in enumerate(draws.tolist()):
-            gen = rng.child(i).generator()
-            samples[0, k] = prior.draw(gen, cost)
-            revealed_values = factored.draw_marginal(gen, 1)[0]
-            hidden = factored.draw_conditional(revealed_values, gen, cost)
-            samples[1, k] = factored.combine(revealed_values, hidden)
-        value_y = _terms(_payoffs(model, samples[0]), dist, level, variant_y)
-        return value_y - _terms(_payoffs(model, samples[1]), dist, level, variant_z)
+        gen_y, gen_revealed, gen_hidden = (
+            rng.child(k, level).generator() for k in (1, 2, 3)
+        )
+        for n in _chunks(count, cost, _BATCH_ROWS):
+            payoffs = model.payoff_matrix(prior.draw(gen_y, n * cost))
+            value_y = _terms(payoffs.reshape(n, cost, -1), dist, level, variant_y)
+            revealed = factored.draw_marginal(gen_revealed, n)
+            hidden = factored.draw_conditional(revealed, gen_hidden, cost)
+            payoffs = model.payoff_matrix(factored.combine(revealed, hidden))
+            yield value_y - _terms(payoffs.reshape(n, cost, -1), dist, level, variant_z)
 
     return _run(dist, budget, budget_rule, 2, model.dimension, rng, term)

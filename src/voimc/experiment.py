@@ -338,36 +338,13 @@ def render_csv(report: ConvergenceReport, plan: ExperimentPlan) -> str:
     lines.append("estimator,budget,replication,estimate,truth,cost_used,n_draws")
     for budget in plan.budgets:
         for row in report.records[budget]:
-            lines.append(
-                ",".join(
-                    [
-                        plan.estimator,
-                        str(budget),
-                        str(row.replication),
-                        _fmt(row.estimate),
-                        _fmt(report.truth),
-                        str(row.cost_used),
-                        str(row.n_draws),
-                    ]
-                )
-            )
+            fields = (plan.estimator, budget, row.replication, row.estimate)
+            fields += (report.truth, row.cost_used, row.n_draws)
+            lines.append(",".join(map(_fmt, fields)))
     for budget in plan.budgets:
         s = report.per_budget[budget]
-        lines.append(
-            ",".join(
-                [
-                    "#SUMMARY",
-                    str(budget),
-                    _fmt(s.minimum),
-                    _fmt(s.q1),
-                    _fmt(s.median),
-                    _fmt(s.q3),
-                    _fmt(s.maximum),
-                    _fmt(s.mean),
-                    _fmt(s.rmse),
-                ]
-            )
-        )
+        fields = ("#SUMMARY", budget, s.minimum, s.q1, s.median, s.q3, s.maximum)
+        lines.append(",".join(map(_fmt, fields + (s.mean, s.rmse))))
     lines.append(f"#SLOPE,{_fmt(report.slope)}")
     return "\n".join(lines) + "\n"
 

@@ -54,8 +54,8 @@ class ConfigError(ValueError):
 class GaussianLinearModel:
     """Configuration of the linear-payoff Gaussian benchmark.
 
-    ``weights`` must be non-zero and ``stds`` positive; coordinates are
-    independent normals with the given means and standard deviations.
+    Every value must be finite, ``weights`` non-zero and ``stds`` positive;
+    coordinates are independent normals with the given means and stds.
     """
 
     intercept: float
@@ -69,6 +69,9 @@ class GaussianLinearModel:
             raise ValueError("model needs at least one coordinate")
         if len(self.means) != n or len(self.stds) != n:
             raise ValueError("weights, means and stds must have equal length")
+        for name in ("intercept", "weights", "means", "stds"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if any(w == 0.0 for w in self.weights):
             raise ValueError("weights must all be non-zero")
         if any(s <= 0.0 for s in self.stds):
@@ -126,16 +129,13 @@ def make_gaussian_model(
     )
 
     r_idx = np.asarray([ix - 1 for ix in revealed], dtype=np.intp)
-    h_idx = np.asarray(
-        [ix for ix in range(config.dimension) if ix + 1 not in set(revealed)],
-        dtype=np.intp,
-    )
+    h_idx = np.setdiff1d(np.arange(config.dimension, dtype=np.intp), r_idx)
     factored = FactoredSampler(
         dimension=config.dimension,
         revealed=revealed,
         marginal_fn=lambda rng, size: _gaussian_draws(rng, size, mu[r_idx], sd[r_idx]),
-        conditional_fn=lambda _x1, rng, size: _gaussian_draws(
-            rng, size, mu[h_idx], sd[h_idx]
+        conditional_fn=lambda x1, rng, size: _gaussian_draws(
+            rng, x1.shape[0] * size, mu[h_idx], sd[h_idx]
         ),
     )
     return model, prior, factored
@@ -180,8 +180,8 @@ def load_model_config(path) -> tuple[GaussianLinearModel, tuple[int, ...] | None
     """Read a benchmark configuration from a JSON file.
 
     Keys: ``s`` (dimension), ``w0`` (intercept), ``w``/``mu``/``sigma``
-    (length-s arrays, sigma positive, w non-zero) and optionally ``subset``
-    (1-based revealed coordinates).  Unknown keys are rejected.
+    (length-s arrays, sigma positive, w non-zero), all finite, and optionally
+    ``subset`` (1-based revealed coordinates).  Unknown keys are rejected.
     """
     try:
         raw = json.loads(Path(path).read_text())

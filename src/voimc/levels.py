@@ -82,6 +82,18 @@ class LevelDistribution:
         raw = np.ceil(np.log1p(-u) / math.log(self.ratio))
         return np.maximum(raw, 1.0).astype(np.int64)
 
+    def level_counts(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Counts of ``n`` i.i.d. levels, indexed by level up to the deepest.
+
+        Level l takes Binomial(remaining, 1 - ratio) of the draws not placed
+        below it, which is exact because pmf(l) / tail(l) = 1 - ratio."""
+        counts = [0]
+        remaining = n
+        while remaining:
+            counts.append(int(rng.binomial(remaining, 1.0 - self.ratio)))
+            remaining -= counts[-1]
+        return np.array(counts, dtype=np.int64)
+
     @staticmethod
     def _check_level(level: int) -> None:
         if level < 1:

@@ -112,6 +112,10 @@ class FactoredSampler:
     ``revealed`` lists the 1-based coordinates of the revealed block; the
     hidden block is its complement.  Composing ``draw_marginal`` with
     ``draw_conditional`` must reproduce the joint prior law.
+
+    ``conditional_fn(revealed, rng, size)`` takes an (n, n_revealed) block
+    and returns (n*size, n_hidden) rows: ``size`` rows conditional on
+    revealed row 0, then ``size`` on row 1, and so on.
     """
 
     dimension: int
@@ -128,10 +132,7 @@ class FactoredSampler:
         if len(set(self.revealed)) != len(self.revealed):
             raise ValueError("revealed coordinates must be unique")
         r_idx = np.asarray(sorted(ix - 1 for ix in self.revealed), dtype=np.intp)
-        h_idx = np.asarray(
-            [ix for ix in range(self.dimension) if ix + 1 not in set(self.revealed)],
-            dtype=np.intp,
-        )
+        h_idx = np.setdiff1d(np.arange(self.dimension, dtype=np.intp), r_idx)
         object.__setattr__(self, "_revealed_idx", r_idx)
         object.__setattr__(self, "_hidden_idx", h_idx)
 
@@ -155,28 +156,32 @@ class FactoredSampler:
     def draw_conditional(
         self, revealed_values: np.ndarray, rng: np.random.Generator, size: int = 1
     ) -> np.ndarray:
+        """``size`` hidden rows per row of an (n, n_revealed) revealed block,
+        as (n*size, n_hidden) rows grouped by revealed row."""
         revealed_values = np.asarray(revealed_values, dtype=np.float64)
-        if revealed_values.shape != (self.n_revealed,):
+        if revealed_values.ndim != 2 or revealed_values.shape[1] != self.n_revealed:
             raise ValueError(
-                f"expected revealed block of shape ({self.n_revealed},), "
+                f"expected a revealed block of shape (n, {self.n_revealed}), "
                 f"got {revealed_values.shape}"
             )
         out = np.asarray(
             self.conditional_fn(revealed_values, rng, int(size)), dtype=np.float64
         )
-        if out.shape != (size, self.n_hidden):
+        expected = (revealed_values.shape[0] * size, self.n_hidden)
+        if out.shape != expected:
             raise ValueError(
-                f"conditional sampler returned shape {out.shape}, expected "
-                f"{(size, self.n_hidden)}"
+                f"conditional sampler returned shape {out.shape}, expected {expected}"
             )
         return out
 
     def combine(
         self, revealed_values: np.ndarray, hidden_samples: np.ndarray
     ) -> np.ndarray:
-        """Full parameter vectors from one revealed block and many hidden draws."""
+        """Full parameter vectors from an (n, n_revealed) revealed block and
+        the hidden rows `draw_conditional` returns for it."""
         hidden_samples = np.asarray(hidden_samples, dtype=np.float64)
+        repeats = hidden_samples.shape[0] // len(revealed_values)
         out = np.empty((hidden_samples.shape[0], self.dimension), dtype=np.float64)
-        out[:, self._revealed_idx] = np.asarray(revealed_values, dtype=np.float64)
+        out[:, self._revealed_idx] = np.repeat(revealed_values, repeats, axis=0)
         out[:, self._hidden_idx] = hidden_samples
         return out

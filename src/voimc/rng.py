@@ -2,7 +2,7 @@
 
 A stream is identified by a root seed plus a tuple of child indices, and the
 mapping (seed, path) -> bit stream is fixed.  Any unit of work (a replication,
-a draw, a sampling channel inside a draw) owns the stream derived from its
+one kind of sample at one level of a run) owns the stream derived from its
 logical coordinates, never from execution order, so serial and parallel runs
 of the same configuration produce bit-identical results.
 """

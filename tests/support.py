@@ -80,47 +80,63 @@ def prior_term(model, prior, level: int, dist, gen, variant: str) -> float:
 def conditional_term(
     model, factored, revealed_values, level: int, dist, gen, variant: str
 ) -> float:
-    """One conditional level term given a revealed block, sampled as
-    `evppi_mlmc` samples it: base**level conditional rows from ``gen``."""
+    """One conditional level term given a (1, n_revealed) revealed block,
+    sampled as `evppi_mlmc` samples it: base**level conditional rows from
+    ``gen``."""
     hidden = factored.draw_conditional(revealed_values, gen, dist.cost(level))
     payoffs = model.payoff_matrix(factored.combine(revealed_values, hidden))
     return float(_terms(payoffs[None], dist, level, variant)[0])
 
 
-def per_draw_run(
-    model, prior, dist, budget: int, variants, rng, budget_rule: str, factored=None
-) -> EstimateResult:
-    """`evpi_mlmc` (``factored`` None, ``variants`` = (variant,)) or
-    `evppi_mlmc` (``variants`` = (variant_y, variant_z)) evaluated draw by
-    draw in draw order, as the run loop did before it grouped draws by level:
-    draw i builds ``rng.child(i)``'s generator, computes its terms through
-    `prior_term` / `conditional_term`, and feeds the moments at once."""
-    parts = 1 if factored is None else 2
+def level_counts(dist, budget: int, parts: int, rng, budget_rule: str) -> np.ndarray:
+    """Draws per level (indexed by level) of a run, from ``rng.child(0)``."""
     level_rng = rng.child(0).generator()
     if budget_rule == "expected":
-        count = math.floor(budget / (parts * dist.expected_cost()))
-        levels = dist.sample_levels(level_rng, count).tolist()
-    else:
-        levels, _ = draws_for_budget(dist, budget // parts, level_rng)
+        n = math.floor(budget / (parts * dist.expected_cost()))
+        return dist.level_counts(level_rng, n)
+    return np.bincount(draws_for_budget(dist, budget // parts, level_rng)[0])
+
+
+def per_draw_run(
+    model, prior, dist, budget: int, variants, rng, budget_rule: str, factored=None
+) -> tuple[EstimateResult, dict[int, np.ndarray]]:
+    """`evpi_mlmc` (``factored`` None, ``variants`` = (variant,)) or
+    `evppi_mlmc` (``variants`` = (variant_y, variant_z)) evaluated level by
+    level, each draw sampled on its own, with its terms by level.
+
+    The counts come from `level_counts`.  Draw after draw of level l takes its
+    prior rows from ``rng.child(1, l)`` through `prior_term` and, for evppi,
+    its revealed block from ``rng.child(2, l)`` and its conditional rows from
+    ``rng.child(3, l)`` through `conditional_term`.  The moments take each
+    level's terms at once."""
+    parts = 1 if factored is None else 2
+    counts = level_counts(dist, budget, parts, rng, budget_rule)
+    terms: dict[int, np.ndarray] = {}
     moments = _RunningMoments()
-    per_level: dict[int, _RunningMoments] = {}
-    for i, level in enumerate(levels, start=1):
-        gen = rng.child(i).generator()
-        value = prior_term(model, prior, level, dist, gen, variants[0])
-        if factored is not None:
-            revealed = factored.draw_marginal(gen, 1)[0]
-            value -= conditional_term(
-                model, factored, revealed, level, dist, gen, variants[1]
-            )
-        moments.add(value)
-        per_level.setdefault(level, _RunningMoments()).add(value)
-    return EstimateResult(
+    per_level = {}
+    for level in np.flatnonzero(counts).tolist():
+        gens = [rng.child(k, level).generator() for k in (1, 2, 3)]
+        values = []
+        for _ in range(int(counts[level])):
+            value = prior_term(model, prior, level, dist, gens[0], variants[0])
+            if factored is not None:
+                revealed = factored.draw_marginal(gens[1], 1)
+                value -= conditional_term(
+                    model, factored, revealed, level, dist, gens[2], variants[1]
+                )
+            values.append(value)
+        terms[level] = np.array(values)
+        per_level[level] = _RunningMoments()
+        per_level[level].add_many(terms[level])
+        moments.add_many(terms[level])
+    result = EstimateResult(
         estimate=float(moments.mean),
-        n_draws=len(levels),
-        cost_used=parts * sum(dist.cost(level) for level in levels),
+        n_draws=moments.count,
+        cost_used=parts * sum(dist.cost(l) * int(counts[l]) for l in per_level),
         term_variance=moments.sample_variance,
         per_level=_freeze_levels(per_level),
     )
+    return result, terms
 
 
 # ---------------------------------------------------------------------------

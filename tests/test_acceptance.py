@@ -165,7 +165,7 @@ def test_criterion_03_degenerate_exactness():
             for level in range(1, 7):
                 values.append(prior_term(model, prior, level, DIST, gen, "single"))
                 values.append(prior_term(model, prior, level, DIST, gen, "coupled"))
-                revealed = factored.draw_marginal(gen, 1)[0]
+                revealed = factored.draw_marginal(gen, 1)
                 for variant in ("single", "coupled"):
                     values.append(
                         conditional_term(
@@ -204,7 +204,7 @@ def test_criterion_04_level_one_coupling_identity():
         coupled = prior_term(model, prior, 1, DIST, stream.generator(), "coupled")
         if coupled != p1 * single:
             failures += 1
-        revealed = factored.draw_marginal(stream.child(0).generator(), 1)[0]
+        revealed = factored.draw_marginal(stream.child(0).generator(), 1)
         z_single = conditional_term(
             model, factored, revealed, 1, DIST, stream.child(1).generator(), "single"
         )

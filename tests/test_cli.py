@@ -221,6 +221,24 @@ def test_unwritable_out_exits_two(benchmark_model_path, capsys, tmp_path, monkey
         assert not out.exists()
 
 
+def test_non_finite_model_exits_two_before_sampling(capsys, tmp_path, monkeypatch):
+    # the model is rejected when it is read, before one replication runs
+    def never(*_args, **_kwargs):
+        pytest.fail("ran a replication of a non-finite model")
+
+    monkeypatch.setattr("voimc.experiment.run_replication", never)
+    model = tmp_path / "model.json"
+    model.write_text(
+        '{"s": 2, "w0": NaN, "w": [1, 1], "mu": [0, 0], "sigma": [1, Infinity]}'
+    )
+    code = main(
+        ["estimate", "--estimator", "evpi-coupled", "--budget", "64", "--model", str(model)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be finite" in err
+
+
 def test_failed_run_keeps_existing_out(benchmark_model_path, capsys, tmp_path):
     # the run is refused inside run_plan, after --out is opened; the file
     # keeps its old bytes until a run succeeds and replaces all of them

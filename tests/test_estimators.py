@@ -25,6 +25,8 @@ from voimc.estimators import (
     _BATCH_ROWS,
     _LEVEL_BYTES,
     _accumulate_best_means,
+    _freeze_levels,
+    _RunningMoments,
     _terms,
     nested_allocation,
 )
@@ -57,6 +59,13 @@ def tie_setup():
 
 
 @pytest.fixture(scope="module")
+def tie_model_large_draw():
+    # a level law that all but surely draws level 1, whose draws have 2**16 rows
+    model, prior, factored = make_gaussian_model(TIE_CONFIG, (1, 2))
+    return model, prior, factored, LevelDistribution(2**16, 1e-9)
+
+
+@pytest.fixture(scope="module")
 def offset_setup():
     model, prior, factored = make_gaussian_model(OFFSET_CONFIG, (1, 2))
     return model, prior, factored
@@ -74,7 +83,7 @@ def fixed_factored(samples: np.ndarray, revealed=(1,)) -> FactoredSampler:
         dimension=dim,
         revealed=tuple(revealed),
         marginal_fn=lambda _rng, size: np.zeros((size, len(revealed))),
-        conditional_fn=lambda _x1, _rng, size: samples[:size],
+        conditional_fn=lambda x1, _rng, size: samples[: x1.shape[0] * size],
     )
 
 
@@ -301,7 +310,7 @@ class TestLevelTermsAgainstExplicitReference:
     def test_conditional_terms_match_reference(self, tie_setup):
         model, prior, _ = tie_setup
         level, base = 3, 2
-        revealed_value = np.array([0.7])
+        revealed_value = np.array([[0.7]])
         hidden = prior.draw(RngStream(21).generator(), base**level)[:, 1:]
         stub = fixed_factored(hidden, revealed=(1,))
         payoffs = model.payoff_matrix(
@@ -419,7 +428,7 @@ class TestDegenerateExactness:
         _, _, factored = make_gaussian_model(TIE_CONFIG, range(1, 6))
         for seed in range(100):
             gen = RngStream(32, (seed,)).generator()
-            revealed = factored.draw_marginal(gen, 1)[0]
+            revealed = factored.draw_marginal(gen, 1)
             for level in (1, 2, 3):
                 for variant in ("single", "coupled"):
                     assert (
@@ -443,7 +452,7 @@ class TestPointwiseSign:
         model, _, factored = make_gaussian_model(TIE_CONFIG, (1,))
         for seed in range(10_000):
             gen = RngStream(34, (seed,)).generator()
-            revealed = factored.draw_marginal(gen, 1)[0]
+            revealed = factored.draw_marginal(gen, 1)
             term = conditional_term(model, factored, revealed, 1, DIST, gen, "single")
             assert term >= 0.0
 
@@ -463,7 +472,7 @@ class TestLevelOneCouplingIdentity:
         p1 = DIST.pmf(1)
         for seed in range(1000):
             stream = RngStream(36, (seed,))
-            revealed = factored.draw_marginal(stream.child(0).generator(), 1)[0]
+            revealed = factored.draw_marginal(stream.child(0).generator(), 1)
             single = conditional_term(
                 model, factored, revealed, 1, DIST, stream.child(1).generator(), "single"
             )
@@ -473,43 +482,61 @@ class TestLevelOneCouplingIdentity:
             assert coupled == p1 * single
 
 
+def _chunk_count(result) -> int:
+    """Chunks a run's levels take: one sampler call per part for each."""
+    return sum(
+        -(-stats.count // max(1, estimators._BATCH_ROWS // DIST.cost(level)))
+        for level, stats in result.per_level.items()
+    )
+
+
 class TestSharedSampleAccounting:
-    def test_one_bulk_draw_per_term(self, tie_setup):
-        # every term of a run draws its base**level rows in one call: one
-        # prior call per evpi draw, one prior and one conditional call per
-        # evppi draw, whatever the level
+    @pytest.mark.parametrize("batch_rows", [8, _BATCH_ROWS])
+    def test_one_bulk_draw_per_level_and_chunk(self, tie_setup, monkeypatch, batch_rows):
+        # each part samples every chunk of a level in one call: one prior call
+        # per evpi chunk, one prior, one marginal and one conditional call per
+        # evppi chunk, and the rows drawn add up to the reported cost
+        monkeypatch.setattr(estimators, "_BATCH_ROWS", batch_rows)
         model, prior, factored = tie_setup
         for variant in ("single", "coupled"):
             counter = DrawCounter(prior)
             r = evpi_mlmc(model, counter.sampler(), DIST, 512, variant, RngStream(37))
             assert max(r.per_level) >= 2
-            assert counter.calls == r.n_draws
+            assert counter.calls == _chunk_count(r)
             assert counter.samples == r.cost_used
+            if batch_rows == 8:
+                assert counter.calls > len(r.per_level)
 
             counter = DrawCounter(prior)
-            hidden_calls = []
+            revealed_rows, hidden_rows = [], []
+
+            def marginal(rng, size):
+                revealed_rows.append(size)
+                return factored.marginal_fn(rng, size)
 
             def conditional(x1, rng, size):
-                hidden_calls.append(size)
+                hidden_rows.append(x1.shape[0] * size)
                 return factored.conditional_fn(x1, rng, size)
 
             counted = FactoredSampler(
-                factored.dimension, factored.revealed, factored.marginal_fn, conditional
+                factored.dimension, factored.revealed, marginal, conditional
             )
             r = evppi_mlmc(
                 model, counted, counter.sampler(), DIST, 1024, variant, variant,
                 rng=RngStream(37),
             )
             assert max(r.per_level) >= 2
-            assert counter.calls == len(hidden_calls) == r.n_draws
-            assert counter.samples == sum(hidden_calls) == r.cost_used // 2
+            assert counter.calls == len(hidden_rows) == len(revealed_rows)
+            assert counter.calls == _chunk_count(r)
+            assert counter.samples == sum(hidden_rows) == r.cost_used // 2
+            assert sum(revealed_rows) == r.n_draws
 
     def test_estimator_consumes_exactly_reported_cost(self, tie_setup):
         model, prior, _ = tie_setup
         counter = DrawCounter(prior)
         result = evpi_mlmc(model, counter.sampler(), DIST, 256, "coupled", RngStream(38))
         assert counter.samples == result.cost_used
-        assert counter.calls == result.n_draws
+        assert counter.calls == _chunk_count(result)
 
 
 class TestSampledLevelTermMeans:
@@ -538,7 +565,7 @@ class TestSampledLevelTermMeans:
             levels = DIST.sample_levels(level_gen, 10_000)
             vals = []
             for l in levels:
-                revealed = factored.draw_marginal(draw_gen, 1)[0]
+                revealed = factored.draw_marginal(draw_gen, 1)
                 vals.append(
                     conditional_term(model, factored, revealed, int(l), DIST, draw_gen, variant)
                 )
@@ -680,13 +707,10 @@ class TestMlmcEstimators:
         with pytest.raises(MemoryError, match="per-draw bound"):
             evppi_mlmc(model, factored, prior, huge, 2**29, rng=RngStream(0))
 
-    @pytest.mark.parametrize("budget_rule", ["expected", "prefix"])
-    def test_oversized_level_sequence_refused_before_drawing(
-        self, tie_setup, budget_rule
-    ):
-        # a budget of 2**40 asks for more than 2**25 levels under either
-        # rule, priced at _LEVEL_BYTES[budget_rule] each, above the bound, so
-        # the run is refused before any level or sample is drawn
+    def test_oversized_level_sequence_refused_before_drawing(self, tie_setup):
+        # a budget of 2**40 asks the prefix rule for 2**39 counted levels,
+        # priced at _LEVEL_BYTES each, above the bound, so the run is refused
+        # before any level or sample is drawn
         model, _, factored = tie_setup
 
         def never(_rng, _size):
@@ -698,24 +722,21 @@ class TestMlmcEstimators:
             with pytest.raises(MemoryError, match="level-sequence bound"):
                 evpi_mlmc(
                     model, prior, DIST, 2**40, "single", RngStream(0),
-                    budget_rule=budget_rule,
+                    budget_rule="prefix",
                 )
             with pytest.raises(MemoryError, match="level-sequence bound"):
                 evppi_mlmc(
                     model, factored, prior, DIST, 2**40, rng=RngStream(0),
-                    budget_rule=budget_rule,
+                    budget_rule="prefix",
                 )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @pytest.mark.parametrize("budget_rule", ["expected", "prefix"])
-    def test_level_sequence_peak_within_priced_bytes(self, tie_setup, budget_rule):
-        # the bound prices a level at _LEVEL_BYTES[budget_rule]: building a
-        # sequence of about 2**18 levels must peak within that price plus
-        # fixed overhead
-        model, _, _ = tie_setup
+    @staticmethod
+    def _peak_before_first_sample(run) -> int:
+        """tracemalloc peak of ``run(prior)`` up to the prior's first draw."""
 
         class Sampled(Exception):
             pass
@@ -723,28 +744,94 @@ class TestMlmcEstimators:
         def stop(_rng, _size):
             raise Sampled
 
-        prior = PriorSampler(dimension=5, draw_fn=stop)
-        levels = 2**18  # the level count the bound checks, under either rule
-        if budget_rule == "expected":
-            budget = math.ceil(levels * DIST.expected_cost())
-        else:
-            budget = levels * DIST.base
         tracemalloc.start()
         try:
             with pytest.raises(Sampled):
-                evpi_mlmc(
-                    model, prior, DIST, budget, "single", RngStream(0),
-                    budget_rule=budget_rule,
-                )
+                run(PriorSampler(dimension=5, draw_fn=stop))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= levels * _LEVEL_BYTES[budget_rule] + 2**16
+        return peak
+
+    def test_level_sequence_peak_within_priced_bytes(self, tie_setup):
+        # the bound prices a counted level of the prefix rule at _LEVEL_BYTES:
+        # building the sequence for 2**18 counted levels must peak within that
+        # price plus fixed overhead
+        model, _, _ = tie_setup
+        levels = 2**18
+        peak = self._peak_before_first_sample(
+            lambda prior: evpi_mlmc(
+                model, prior, DIST, levels * DIST.base, "single", RngStream(0),
+                budget_rule="prefix",
+            )
+        )
+        assert peak <= levels * _LEVEL_BYTES + 2**16
+
+    @pytest.mark.parametrize("draws", [2**18, 2**20])
+    def test_expected_rule_peak_before_first_sample_is_small(self, tie_setup, draws):
+        # the expected rule draws per-level counts, not a level sequence, so
+        # its memory up to the first sample does not grow with the budget
+        model, _, factored = tie_setup
+        budget = math.ceil(draws * DIST.expected_cost())
+        peak = self._peak_before_first_sample(
+            lambda prior: evpi_mlmc(model, prior, DIST, budget, "single", RngStream(0))
+        )
+        assert peak < 2**16
+        peak = self._peak_before_first_sample(
+            lambda prior: evppi_mlmc(
+                model, factored, prior, DIST, 2 * budget, rng=RngStream(0)
+            )
+        )
+        assert peak < 2**16
+
+    def test_large_single_draw_peak(self, tie_model_large_draw):
+        # one level-1 draw of 2**16 rows: the run holds no more than sampling
+        # that draw's samples needs, whether it has one part or two
+        model, prior, factored, dist = tie_model_large_draw
+        samples_bytes = dist.cost(1) * model.dimension * 8
+        runs = {
+            "evpi": lambda: evpi_mlmc(
+                model, prior, dist, math.ceil(dist.expected_cost()), "single",
+                RngStream(0),
+            ),
+            "evppi": lambda: evppi_mlmc(
+                model, factored, prior, dist, math.ceil(2 * dist.expected_cost()),
+                rng=RngStream(0),
+            ),
+        }
+        for name, run in runs.items():
+            tracemalloc.start()
+            try:
+                result = run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert result.n_draws == 1 and list(result.per_level) == [1], name
+            assert peak <= 3.1 * samples_bytes, (name, peak / samples_bytes)
 
     @staticmethod
-    def _grouped_and_per_draw(setup, dist, budget, variants, budget_rule):
+    def _grouped_and_per_draw(setup, dist, budget, variants, budget_rule, monkeypatch):
+        """The run, the terms it fed its per-level moments, and the per-draw
+        reference with its terms."""
         model, prior, factored = setup
         rng = RngStream(60, (budget,))
+        recorded = {}
+
+        class Recording(_RunningMoments):
+            def __init__(self):
+                super().__init__()
+                self.chunks = []
+
+            def add_many(self, values):
+                self.chunks.append(values.copy())
+                super().add_many(values)
+
+        def freeze(acc):
+            recorded.update({lvl: np.concatenate(m.chunks) for lvl, m in acc.items()})
+            return _freeze_levels(acc)
+
+        monkeypatch.setattr(estimators, "_RunningMoments", Recording)
+        monkeypatch.setattr(estimators, "_freeze_levels", freeze)
         if len(variants) == 1:
             factored = None
             grouped = evpi_mlmc(
@@ -755,9 +842,24 @@ class TestMlmcEstimators:
                 model, factored, prior, dist, budget, *variants, rng=rng,
                 budget_rule=budget_rule,
             )
-        return grouped, per_draw_run(
+        reference, terms = per_draw_run(
             model, prior, dist, budget, variants, rng, budget_rule, factored
         )
+        return grouped, recorded, reference, terms
+
+    @staticmethod
+    def _assert_matches(grouped, recorded, reference, terms):
+        assert grouped.n_draws == reference.n_draws
+        assert grouped.cost_used == reference.cost_used
+        assert list(recorded) == list(terms)
+        for level, values in terms.items():
+            assert recorded[level].tobytes() == values.tobytes(), level
+            got, want = grouped.per_level[level], reference.per_level[level]
+            assert got.count == want.count
+            assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-300)
+            assert got.second_moment == pytest.approx(want.second_moment, rel=1e-12)
+        assert grouped.estimate == pytest.approx(reference.estimate, rel=1e-12)
+        assert grouped.term_variance == pytest.approx(reference.term_variance, rel=1e-12)
 
     @pytest.mark.parametrize(
         "variants",
@@ -770,27 +872,27 @@ class TestMlmcEstimators:
         self, tie_setup, monkeypatch, budget_rule, base, variants
     ):
         # 8-row chunks split every level into several chunks, and give each
-        # draw above 8 rows a chunk of its own
+        # draw above 8 rows a chunk of its own; the terms keep their bits
         monkeypatch.setattr(estimators, "_BATCH_ROWS", 8)
         dist = LevelDistribution(base, optimal_ratio(base, 1))
         budget = 2048 * len(variants)
-        grouped, reference = self._grouped_and_per_draw(
-            tie_setup, dist, budget, variants, budget_rule
+        grouped, recorded, reference, terms = self._grouped_and_per_draw(
+            tie_setup, dist, budget, variants, budget_rule, monkeypatch
         )
         assert max(dist.cost(level) for level in grouped.per_level) > 8
-        assert repr(grouped) == repr(reference)
+        self._assert_matches(grouped, recorded, reference, terms)
 
     @pytest.mark.parametrize("budget_rule", ["expected", "prefix"])
     def test_level_spanning_chunks_matches_per_draw_run_bitwise(
-        self, tie_setup, budget_rule
+        self, tie_setup, monkeypatch, budget_rule
     ):
         # about 14,800 draws, some 9,600 at level 1: more than the 8,192
         # two-row draws of one _BATCH_ROWS chunk
-        grouped, reference = self._grouped_and_per_draw(
-            tie_setup, DIST, 2**17, ("single", "coupled"), budget_rule
+        grouped, recorded, reference, terms = self._grouped_and_per_draw(
+            tie_setup, DIST, 2**17, ("single", "coupled"), budget_rule, monkeypatch
         )
         assert grouped.per_level[1].count > _BATCH_ROWS // DIST.cost(1)
-        assert repr(grouped) == repr(reference)
+        self._assert_matches(grouped, recorded, reference, terms)
 
     def test_per_level_bookkeeping(self, tie_setup):
         model, prior, _ = tie_setup

@@ -208,6 +208,19 @@ class TestModelConfigFile:
         with pytest.raises(ConfigError):
             load_model_config(self._write(tmp_path, payload))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize("key", ["w0", "w", "mu", "sigma"])
+    def test_non_finite_values_rejected(self, tmp_path, key, value):
+        payload = self._valid()
+        if key == "w0":
+            payload[key] = value
+        else:
+            payload[key][1] = value
+        path = self._write(tmp_path, payload)
+        assert ("NaN" if math.isnan(value) else "Infinity") in path.read_text()
+        with pytest.raises(ConfigError, match="must be finite"):
+            load_model_config(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_model_config(tmp_path / "nope.json")

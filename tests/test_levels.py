@@ -129,6 +129,31 @@ class TestLevelSampling:
         assert float(np.mean(levels == 1)) == pytest.approx(0.6464, abs=0.004)
 
 
+class TestLevelCounts:
+    @pytest.mark.parametrize("n", [0, 1, 64, 10_000])
+    def test_counts_sum_to_n(self, n):
+        dist = LevelDistribution(2, BENCH_RATIO)
+        counts = dist.level_counts(RngStream(20, (n,)).generator(), n)
+        assert counts[0] == 0
+        assert int(counts.sum()) == n
+        if n:
+            assert counts[-1] > 0  # ends at the deepest level drawn
+
+    def test_mean_counts_match_pmf(self):
+        # each level's count among n i.i.d. levels is Binomial(n, pmf(l))
+        dist = LevelDistribution(2, BENCH_RATIO)
+        n, calls = 64, 4000
+        gen = RngStream(21).generator()
+        totals = np.zeros(6)
+        for _ in range(calls):
+            counts = dist.level_counts(gen, n)[:6]
+            totals[: counts.shape[0]] += counts
+        for l in range(1, 6):
+            p = dist.pmf(l)
+            se = math.sqrt(n * p * (1 - p) / calls)
+            assert abs(totals[l] / calls - n * p) < 4 * se, l
+
+
 class TestOptimalRatio:
     def test_reference_case_exact(self):
         assert optimal_ratio(2, 1) == 2 ** (-3 / 2)

@@ -103,8 +103,8 @@ class TestSamplers:
         gen = RngStream(77).generator()
         revealed = factored.draw_marginal(gen, n)
         hidden = np.vstack(
-            [factored.draw_conditional(revealed[0], gen, n // 2)]
-            + [factored.draw_conditional(revealed[1], gen, n - n // 2)]
+            [factored.draw_conditional(revealed[:1], gen, n // 2)]
+            + [factored.draw_conditional(revealed[1:2], gen, n - n // 2)]
         )
         full = np.empty((n, 5))
         full[:, [1, 3]] = revealed
@@ -119,22 +119,42 @@ class TestSamplers:
 
     def test_combine_places_blocks(self, tie_model):
         _, _, factored = tie_model
-        out = factored.combine(np.array([10.0, 20.0]), np.array([[1.0, 2.0, 3.0]]))
+        out = factored.combine(np.array([[10.0, 20.0]]), np.array([[1.0, 2.0, 3.0]]))
         assert out.tolist() == [[10.0, 20.0, 1.0, 2.0, 3.0]]
+
+    def test_block_of_revealed_rows(self, tie_model):
+        # an (n, n_revealed) block gets `size` hidden rows per revealed row,
+        # grouped by revealed row, and `combine` pairs them up in that order
+        _, _, factored = tie_model
+        revealed = np.array([[10.0, 20.0], [30.0, 40.0], [50.0, 60.0]])
+        gen = RngStream(4).generator()
+        hidden = factored.draw_conditional(revealed, gen, 2)
+        assert hidden.shape == (6, 3)
+        # the Gaussian conditional ignores the revealed values: one draw of
+        # six rows from the same stream
+        alone = factored.draw_conditional(revealed[:1], RngStream(4).generator(), 6)
+        assert np.array_equal(hidden, alone)
+        full = factored.combine(revealed, hidden)
+        assert np.array_equal(full[:, :2], np.repeat(revealed, 2, axis=0))
+        assert np.array_equal(full[:, 2:], hidden)
+        with pytest.raises(ValueError):
+            factored.combine(revealed, hidden[:5])
+        with pytest.raises(ValueError):
+            factored.draw_conditional(revealed[0], gen, 2)
 
     def test_empty_revealed_block(self):
         _, _, factored = make_gaussian_model(TIE_CONFIG, ())
         gen = RngStream(3).generator()
         revealed = factored.draw_marginal(gen, 4)
         assert revealed.shape == (4, 0)
-        hidden = factored.draw_conditional(np.zeros(0), gen, 4)
+        hidden = factored.draw_conditional(np.zeros((1, 0)), gen, 4)
         assert hidden.shape == (4, 5)
-        assert factored.combine(np.zeros(0), hidden).shape == (4, 5)
+        assert factored.combine(np.zeros((1, 0)), hidden).shape == (4, 5)
 
     def test_full_revealed_block(self):
         _, _, factored = make_gaussian_model(TIE_CONFIG, range(1, 6))
         gen = RngStream(3).generator()
-        revealed = factored.draw_marginal(gen, 1)[0]
+        revealed = factored.draw_marginal(gen, 1)
         hidden = factored.draw_conditional(revealed, gen, 3)
         assert hidden.shape == (3, 0)
         combined = factored.combine(revealed, hidden)
