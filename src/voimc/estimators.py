@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,6 +277,38 @@ def _accumulate_best_means(
     return float((sums / draws).max())
 
 
+def _nested_result(
+    outer: Iterator[np.ndarray],
+    model: DecisionModel,
+    prior: PriorSampler,
+    baseline_draws: int,
+    baseline_gen: np.random.Generator,
+    cost_used: int,
+) -> EstimateResult:
+    """Mean of the per-draw values ``outer`` yields, minus the baseline term.
+
+    The baseline, `_accumulate_best_means` over ``baseline_draws`` samples
+    from ``baseline_gen``, runs on one helper thread while this thread folds
+    ``outer``.  Each term is a sequential fold over its own stream, so the
+    bits are those of computing one term after the other.  The helper is
+    joined before this returns, also when either term raises; an error of
+    the outer term wins, as it would if the outer term ran first.
+    """
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        baseline = helper.submit(
+            _accumulate_best_means, model, prior, baseline_draws, baseline_gen
+        )
+        moments = _RunningMoments()
+        for values in outer:
+            moments.add_many(values)
+        return EstimateResult(
+            estimate=float(moments.mean - baseline.result()),
+            n_draws=moments.count,
+            cost_used=cost_used,
+            term_variance=moments.sample_variance,
+        )
+
+
 def evpi_nested(
     model: DecisionModel,
     prior: PriorSampler,
@@ -290,21 +323,19 @@ def evpi_nested(
     subtracts the best per-decision mean over an independent batch of
     ``baseline_draws``.  The first term is unbiased; the subtracted term
     over-estimates its target at any finite size, so the whole estimator is
-    biased low.  Cost: outer_draws + baseline_draws.
+    biased low.  Cost: outer_draws + baseline_draws.  The two terms are
+    evaluated concurrently, the subtracted one on a helper thread.
     """
     if outer_draws < 1 or baseline_draws < 1:
         raise ValueError("outer_draws and baseline_draws must be >= 1")
-    moments = _RunningMoments()
-    for payoffs in _payoff_chunks(model, prior, outer_draws, rng.child(0).generator()):
-        moments.add_many(payoffs.max(axis=1))
-    baseline = _accumulate_best_means(
-        model, prior, baseline_draws, rng.child(1).generator()
+    outer_gen = rng.child(0).generator()
+    baseline_gen = rng.child(1).generator()
+    outer = (
+        payoffs.max(axis=1)
+        for payoffs in _payoff_chunks(model, prior, outer_draws, outer_gen)
     )
-    return EstimateResult(
-        estimate=float(moments.mean - baseline),
-        n_draws=outer_draws,
-        cost_used=outer_draws + baseline_draws,
-        term_variance=moments.sample_variance,
+    return _nested_result(
+        outer, model, prior, baseline_draws, baseline_gen, outer_draws + baseline_draws
     )
 
 
@@ -322,31 +353,33 @@ def evppi_nested(
 
     For each of ``outer_draws`` revealed-block samples, takes the best
     decision of an ``inner_draws``-sample conditional mean, averages those
-    bests, and subtracts the baseline term of `evpi_nested`.  Both terms carry
-    finite-sample Jensen bias.  Cost: outer_draws*inner_draws + baseline_draws.
-    The revealed blocks come from one stream and the conditional samples of
-    every outer draw from another, in chunks of whole outer draws of at most
-    ``_NESTED_CHUNK`` rows.
+    bests, and subtracts the baseline term of `evpi_nested`, evaluated
+    concurrently as there.  Both terms carry finite-sample Jensen bias.
+    Cost: outer_draws*inner_draws + baseline_draws.  The revealed blocks come
+    from one stream and the conditional samples of every outer draw from
+    another, in chunks of whole outer draws of at most ``_NESTED_CHUNK`` rows.
     """
     if outer_draws < 1 or inner_draws < 1 or baseline_draws < 1:
         raise ValueError("all draw counts must be >= 1")
     revealed_gen = rng.child(0).generator()
+    baseline_gen = rng.child(1).generator()
     hidden_gen = rng.child(2).generator()
-    moments = _RunningMoments()
-    for n in _chunks(outer_draws, inner_draws, _NESTED_CHUNK):
-        revealed = factored.draw_marginal(revealed_gen, n)
-        hidden = factored.draw_conditional(revealed, hidden_gen, inner_draws)
-        payoffs = model.payoff_matrix(factored.combine(revealed, hidden))
-        del hidden  # free the samples before the next chunk is drawn
-        moments.add_many(payoffs.reshape(n, inner_draws, -1).mean(axis=1).max(axis=1))
-    baseline = _accumulate_best_means(
-        model, prior, baseline_draws, rng.child(1).generator()
-    )
-    return EstimateResult(
-        estimate=float(moments.mean - baseline),
-        n_draws=outer_draws,
-        cost_used=outer_draws * inner_draws + baseline_draws,
-        term_variance=moments.sample_variance,
+
+    def outer() -> Iterator[np.ndarray]:
+        for n in _chunks(outer_draws, inner_draws, _NESTED_CHUNK):
+            revealed = factored.draw_marginal(revealed_gen, n)
+            hidden = factored.draw_conditional(revealed, hidden_gen, inner_draws)
+            payoffs = model.payoff_matrix(factored.combine(revealed, hidden))
+            del hidden  # free the samples before the next chunk is drawn
+            yield payoffs.reshape(n, inner_draws, -1).mean(axis=1).max(axis=1)
+
+    return _nested_result(
+        outer(),
+        model,
+        prior,
+        baseline_draws,
+        baseline_gen,
+        outer_draws * inner_draws + baseline_draws,
     )
 
 

@@ -96,9 +96,14 @@ def _validate_subset(config: GaussianLinearModel, revealed) -> tuple[int, ...]:
 def _gaussian_draws(rng, size, means, stds):
     # Inversion of the normal cdf, one uniform per variate, so the map from
     # stream position to sample is deterministic across worker layouts.
+    # The uniforms are transformed in place, with no temporary of the block's
+    # size; the bits are those of means + stds * ndtri(u).
     u = rng.random((size, means.shape[0]))
     np.maximum(u, _U_FLOOR, out=u)
-    return means + stds * ndtri(u)
+    ndtri(u, out=u)
+    u *= stds
+    u += means
+    return u
 
 
 def make_gaussian_model(

@@ -131,12 +131,22 @@ def draws_for_budget(
     """
     if budget < 1:
         raise ValueError("budget must be a positive integer")
+    # costs[l] = base**l for every level that fits the budget alone, and
+    # budget + 1 for the first one that does not; deeper levels are clipped to
+    # it.  A block's running sum thus stays below 2**63 for budgets below
+    # 2**54, and sums as Python ints above.
+    table = [0, dist.cost(1)]
+    while table[-1] <= budget:
+        table.append(dist.cost(len(table)))
+    table[-1] = budget + 1
+    costs = np.array(table, dtype=np.int64 if budget < 2**54 else object)
     levels: list[int] = []
-    total = 0
+    remaining = budget
     while True:
-        for lvl in dist.sample_levels(rng, _LEVEL_BLOCK).tolist():
-            cost = dist.cost(lvl)
-            if total + cost > budget:
-                return levels, len(levels)
-            levels.append(lvl)
-            total += cost
+        block = dist.sample_levels(rng, _LEVEL_BLOCK)
+        spent = np.cumsum(costs[np.minimum(block, len(costs) - 1)])
+        stop = int(np.searchsorted(spent, remaining, side="right"))
+        levels += block[:stop].tolist()
+        if stop < _LEVEL_BLOCK:
+            return levels, len(levels)
+        remaining -= int(spent[-1])

@@ -15,7 +15,16 @@ from voimc import (
     analytic_evppi,
     draws_for_budget,
 )
-from voimc.estimators import EstimateResult, _freeze_levels, _RunningMoments, _terms
+from voimc import estimators
+from voimc.estimators import (
+    EstimateResult,
+    _accumulate_best_means,
+    _chunks,
+    _freeze_levels,
+    _payoff_chunks,
+    _RunningMoments,
+    _terms,
+)
 
 _PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -137,6 +146,51 @@ def per_draw_run(
         per_level=_freeze_levels(per_level),
     )
     return result, terms
+
+
+def draws_for_budget_loop(dist, budget: int, rng) -> tuple[list[int], int]:
+    """`draws_for_budget` as a loop over the levels of each 256-level block,
+    adding each level's cost in Python ints until one no longer fits."""
+    levels: list[int] = []
+    total = 0
+    while True:
+        for lvl in dist.sample_levels(rng, 256).tolist():
+            cost = dist.cost(lvl)
+            if total + cost > budget:
+                return levels, len(levels)
+            levels.append(lvl)
+            total += cost
+
+
+def serial_nested(
+    model, prior, *, outer_draws, baseline_draws, rng, factored=None, inner_draws=1
+) -> EstimateResult:
+    """`evpi_nested` (``factored`` None) or `evppi_nested` computed on one
+    thread: the outer chunk loop to the end, then `_accumulate_best_means`,
+    on the same child streams and the same ``_NESTED_CHUNK``."""
+    moments = _RunningMoments()
+    if factored is None:
+        for payoffs in _payoff_chunks(model, prior, outer_draws, rng.child(0).generator()):
+            moments.add_many(payoffs.max(axis=1))
+        cost = outer_draws + baseline_draws
+    else:
+        revealed_gen = rng.child(0).generator()
+        hidden_gen = rng.child(2).generator()
+        for n in _chunks(outer_draws, inner_draws, estimators._NESTED_CHUNK):
+            revealed = factored.draw_marginal(revealed_gen, n)
+            hidden = factored.draw_conditional(revealed, hidden_gen, inner_draws)
+            payoffs = model.payoff_matrix(factored.combine(revealed, hidden))
+            moments.add_many(payoffs.reshape(n, inner_draws, -1).mean(axis=1).max(axis=1))
+        cost = outer_draws * inner_draws + baseline_draws
+    baseline = _accumulate_best_means(
+        model, prior, baseline_draws, rng.child(1).generator()
+    )
+    return EstimateResult(
+        estimate=float(moments.mean - baseline),
+        n_draws=outer_draws,
+        cost_used=cost,
+        term_variance=moments.sample_variance,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import math
+import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 
 from voimc import (
     BudgetExhaustedError,
+    ExperimentPlan,
     FactoredSampler,
     LevelDistribution,
+    PayoffEvaluationError,
     PriorSampler,
     RngStream,
     analytic_evppi,
@@ -19,6 +23,8 @@ from voimc import (
     evppi_nested,
     make_gaussian_model,
     optimal_ratio,
+    render_csv,
+    run_plan,
 )
 from voimc import estimators
 from voimc.estimators import (
@@ -45,6 +51,7 @@ from support import (
     per_draw_run,
     plugin_mean,
     prior_term,
+    serial_nested,
     single_decision_model,
     weighted_level_mean,
 )
@@ -254,6 +261,133 @@ class TestNestedEstimators:
         a = evpi_nested(model, prior, outer_draws=200, baseline_draws=100, rng=RngStream(10))
         b = evpi_nested(model, prior, outer_draws=200, baseline_draws=100, rng=RngStream(10))
         assert a == b
+
+
+def _nested_calls(model, prior, factored, **kwargs):
+    """(library call, serial reference) for `evpi_nested` when ``factored`` is
+    None, else for `evppi_nested` with 3 inner draws per outer draw."""
+    if factored is None:
+        run = partial(evpi_nested, model, prior, **kwargs)
+    else:
+        kwargs["inner_draws"] = 3
+        run = partial(evppi_nested, model, factored, prior, **kwargs)
+    return run, partial(serial_nested, model, prior, factored=factored, **kwargs)
+
+
+def _outer_stream(gen: np.random.Generator) -> bool:
+    # the outer term's first stream is child(0), the baseline's child(1)
+    return gen.bit_generator.seed_seq.spawn_key[-1] == 0
+
+
+def _raised(call) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestConcurrentBaseline:
+    """The baseline term runs on a helper thread beside the outer term."""
+
+    @pytest.mark.parametrize("evppi", [False, True], ids=["evpi", "evppi"])
+    @pytest.mark.parametrize("outer, baseline", [(200, 333), (64, 128), (1, 65), (130, 1)])
+    def test_bits_match_serial_reference(
+        self, tie_setup, monkeypatch, evppi, outer, baseline
+    ):
+        # a 64-row chunk makes both terms span several chunks, most of them
+        # ending on a partial one
+        monkeypatch.setattr(estimators, "_NESTED_CHUNK", 64)
+        model, prior, factored = tie_setup
+        run, serial = _nested_calls(
+            model, prior, factored if evppi else None,
+            outer_draws=outer, baseline_draws=baseline, rng=RngStream(41, (outer,)),
+        )
+        got, want = run(), serial()
+        assert got.estimate.hex() == want.estimate.hex()
+        assert got.term_variance.hex() == want.term_variance.hex()
+        assert (got.n_draws, got.cost_used) == (want.n_draws, want.cost_used)
+
+    @pytest.mark.parametrize("evppi", [False, True], ids=["evpi", "evppi"])
+    def test_no_thread_outlives_a_call(self, tie_setup, evppi):
+        model, prior, factored = tie_setup
+        run, _ = _nested_calls(
+            model, prior, factored if evppi else None,
+            outer_draws=300, baseline_draws=200, rng=RngStream(42),
+        )
+        before = threading.active_count()
+        run()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("evppi", [False, True], ids=["evpi", "evppi"])
+    def test_baseline_sampler_error_matches_serial(self, tie_setup, monkeypatch, evppi):
+        monkeypatch.setattr(estimators, "_NESTED_CHUNK", 64)
+        model, prior, factored = tie_setup
+
+        def draw(gen, size):
+            if not _outer_stream(gen):
+                raise RuntimeError(f"baseline sampler failed on {size} rows")
+            return prior.draw(gen, size)
+
+        failing = PriorSampler(dimension=prior.dimension, draw_fn=draw)
+        run, serial = _nested_calls(
+            model, failing, factored if evppi else None,
+            outer_draws=100, baseline_draws=77, rng=RngStream(43),
+        )
+        before = threading.active_count()
+        assert _raised(run) == _raised(serial)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("baseline_fails", [False, True])
+    @pytest.mark.parametrize("evppi", [False, True], ids=["evpi", "evppi"])
+    def test_outer_payoff_error_matches_serial(
+        self, tie_setup, monkeypatch, evppi, baseline_fails
+    ):
+        # when the baseline fails too, the outer term's error still wins, as
+        # in the serial order
+        monkeypatch.setattr(estimators, "_NESTED_CHUNK", 64)
+        model, prior, factored = tie_setup
+
+        def poisoned(draw):
+            def fn(gen, size):
+                if not _outer_stream(gen) and baseline_fails:
+                    raise RuntimeError("baseline sampler failed")
+                out = draw(gen, size)
+                if _outer_stream(gen):
+                    out[size // 2, 0] = np.inf  # a non-finite payoff
+                return out
+
+            return fn
+
+        if evppi:
+            factored = FactoredSampler(
+                dimension=factored.dimension,
+                revealed=factored.revealed,
+                marginal_fn=poisoned(factored.draw_marginal),
+                conditional_fn=factored.draw_conditional,
+            )
+        prior = PriorSampler(dimension=prior.dimension, draw_fn=poisoned(prior.draw))
+        run, serial = _nested_calls(
+            model, prior, factored if evppi else None,
+            outer_draws=100, baseline_draws=77, rng=RngStream(44),
+        )
+        before = threading.active_count()
+        error = _raised(run)
+        assert error == _raised(serial)
+        assert error[0] is PayoffEvaluationError
+        assert threading.active_count() == before
+
+    def test_process_pool_after_nested_call(self, tie_setup, benchmark_model_path):
+        # the pool forks after an in-process call has started and joined its
+        # helper thread; the CSV must not depend on the worker count
+        model, prior, factored = tie_setup
+        evppi_nested(
+            model, factored, prior, outer_draws=50, inner_draws=4, baseline_draws=200,
+            rng=RngStream(45),
+        )
+        plan = ExperimentPlan(
+            "evppi-nested", (64, 256), 4, benchmark_model_path, subset=(1, 2), seed=45
+        )
+        serial = render_csv(run_plan(plan, workers=1), plan)
+        assert render_csv(run_plan(plan, workers=2), plan) == serial
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 from voimc import (
     ConfigError,
@@ -15,7 +16,7 @@ from voimc import (
     load_model_config,
     make_gaussian_model,
 )
-from voimc.gaussian import evppi_from_moments
+from voimc.gaussian import _U_FLOOR, _gaussian_draws, evppi_from_moments
 
 from support import TIE_CONFIG, analytic_evpi
 
@@ -241,3 +242,55 @@ class TestSamplingAccuracy:
         values = model.payoff_matrix(np.array([cfg.means]))[0]
         assert values[0] == pytest.approx(0.7 + 0.3 - 0.2, rel=1e-15)
         assert values[1] == 0.0
+
+
+class _ZeroFirst:
+    """A generator whose first uniform is forced to 0.0."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def random(self, shape):
+        u = self.gen.random(shape)
+        u[0, 0] = 0.0
+        return u
+
+
+class TestGaussianKernel:
+    """`_gaussian_draws` transforms its uniforms in place."""
+
+    MEANS = np.array([0.5, -1.25, 3.0])
+    STDS = np.array([2.0, 0.1, 7.5])
+
+    def _reference(self, gen, size):
+        u = gen.random((size, self.MEANS.shape[0]))
+        return self.MEANS + self.STDS * ndtri(np.maximum(u, _U_FLOOR))
+
+    @pytest.mark.parametrize("size", [1, 7, 4096])
+    def test_bitwise_equal_to_out_of_place_formula(self, size):
+        got = _gaussian_draws(RngStream(61).generator(), size, self.MEANS, self.STDS)
+        want = self._reference(RngStream(61).generator(), size)
+        assert got.tobytes() == want.tobytes()
+
+    def test_zero_uniform_takes_the_floor(self):
+        got = _gaussian_draws(
+            _ZeroFirst(RngStream(62).generator()), 5, self.MEANS, self.STDS
+        )
+        want = self._reference(_ZeroFirst(RngStream(62).generator()), 5)
+        assert np.isfinite(got).all()
+        assert got[0, 0] == self.MEANS[0] + self.STDS[0] * ndtri(_U_FLOOR)
+        assert got.tobytes() == want.tobytes()
+
+    def test_result_aliases_no_parameter(self):
+        means, stds = self.MEANS.copy(), self.STDS.copy()
+        gen = RngStream(63).generator()
+        twin = RngStream(63).generator()
+        first = _gaussian_draws(gen, 4, means, stds)
+        assert not np.shares_memory(first, means)
+        assert not np.shares_memory(first, stds)
+        first[...] = np.nan
+        self._reference(twin, 4)  # the twin skips the first block
+        second = _gaussian_draws(gen, 4, means, stds)
+        assert second.tobytes() == self._reference(twin, 4).tobytes()
+        assert means.tobytes() == self.MEANS.tobytes()
+        assert stds.tobytes() == self.STDS.tobytes()

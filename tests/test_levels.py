@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from voimc import LevelDistribution, RngStream, draws_for_budget, optimal_ratio
 
-from support import budget_rule_mean
+from support import budget_rule_mean, draws_for_budget_loop
 
 BENCH_RATIO = 2 ** (-3 / 2)
 
@@ -175,6 +175,23 @@ class TestOptimalRatio:
             optimal_ratio(2, 0.2)
 
 
+class _Uniforms:
+    """Stands in for a generator: uniforms that are 0.0 (level 1) except at
+    the positions ``values`` sets, counted across calls."""
+
+    def __init__(self, values: dict[int, float]):
+        self.values = values
+        self.drawn = 0
+
+    def random(self, size):
+        u = np.zeros(size)
+        for pos, value in self.values.items():
+            if self.drawn <= pos < self.drawn + size:
+                u[pos - self.drawn] = value
+        self.drawn += size
+        return u
+
+
 class TestDrawsForBudget:
     def test_budget_boundary_inclusive(self):
         # ratio so small every level is 1; each draw costs exactly base
@@ -250,6 +267,35 @@ class TestDrawsForBudget:
         # and the oracle genuinely differs from the unconditioned mean
         plain = sum(dist.pmf(l) * g[l] for l in g)
         assert abs(oracle - plain) > 20 * se
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.integers(2, 4),
+        share=st.floats(0.01, 0.999),
+        budget=st.integers(1, 2**16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_level_loop(self, base, share, budget, seed):
+        # ratio up to just below 1/base, where deep levels that cost more
+        # than the whole budget are common
+        dist = LevelDistribution(base, share / base)
+        levels, n = draws_for_budget(dist, budget, RngStream(seed).generator())
+        assert (levels, n) == draws_for_budget_loop(
+            dist, budget, RngStream(seed).generator()
+        )
+        assert all(type(level) is int for level in levels)
+
+    @pytest.mark.parametrize("budget", [2**30, 2**60])
+    @pytest.mark.parametrize("at", [5, 300])
+    def test_level_costlier_than_int64_ends_prefix(self, budget, at):
+        # level 3 of base 2**25 costs 2**75: it must end the prefix exactly as
+        # in the loop, below and above a budget of 2**54
+        dist = LevelDistribution(2**25, 2**-26)
+        deep = 1.0 - 2.0**-53
+        assert dist.sample_levels(_Uniforms({0: deep}), 1).tolist() == [3]
+        got = draws_for_budget(dist, budget, _Uniforms({at: deep}))
+        assert got == draws_for_budget_loop(dist, budget, _Uniforms({at: deep}))
+        assert got == ([1] * min(at, budget // 2**25), min(at, budget // 2**25))
 
     def test_bad_budget_rejected(self):
         dist = LevelDistribution(2, 0.25)
