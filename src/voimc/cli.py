@@ -1,10 +1,10 @@
 """Command-line interface: one-shot estimates and full convergence studies.
 
-Exit codes: 0 on success, 2 on invalid arguments or configuration, when
-one draw or the prefix level sequence of a run (8 bytes per counted level)
-would need more memory than the bound allows, or when ``--out`` cannot be
-opened for writing (checked before the run; a failed run leaves no new
-file), 3 when every replication exhausted its budget before the first draw.
+Exit codes: 0 on success, 2 on invalid arguments or configuration, when one
+draw's samples would exceed the per-draw bound of 2**30 bytes, or when
+``--out`` cannot be opened for writing (checked before the run; a failed run
+leaves no new file), 3 when every replication of a budget ran out before
+its first draw.
 
 The CSV records the revealed subset as ``#CONFIG,subset``: ``--subset`` if
 given, otherwise the model file's ``subset``.
@@ -62,12 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="geometric level ratio (default b**-1.5)",
     )
-    common.add_argument(
-        "--gamma",
-        type=float,
-        default=1.0,
-        help="inner-bias decay exponent for the nested allocation (default 1)",
-    )
     common.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
     common.add_argument("--out", default=None, help="CSV output path")
 
@@ -99,7 +93,6 @@ def _make_plan(args, budgets: tuple[int, ...], reps: int) -> ExperimentPlan:
         subset=args.subset,
         base=args.b,
         ratio=args.r,
-        gamma=args.gamma,
         seed=args.seed,
     )
 

@@ -29,13 +29,14 @@ would have alone, whatever the chunk size.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .levels import BudgetExhaustedError, LevelDistribution, draws_for_budget
+from .levels import BudgetExhaustedError, LevelDistribution, prefix_level_counts
 from .model import DecisionModel, FactoredSampler, PriorSampler
 from .rng import RngStream
 
@@ -52,17 +53,10 @@ __all__ = [
 _VARIANTS = ("single", "coupled")
 _BUDGET_RULES = ("expected", "prefix")
 
-# Largest block one multilevel run may allocate at once: the samples of one
-# draw (base**level rows of the full parameter vector in float64) or the
-# prefix rule's level sequence.  Levels are uncapped under the expected-cost
-# budget rule and the prefix sequence grows with the budget, so either is
-# refused before it is drawn instead of exhausting memory.
+# Largest block of samples one multilevel draw may allocate: base**level rows
+# of the full parameter vector in float64.  Levels are uncapped under the
+# expected-cost rule, so a larger draw is refused before it is sampled.
 _MAX_DRAW_BYTES = 2**30
-
-# Peak bytes per counted level (budget // (parts * base)) of the prefix rule
-# up to a run's first sample, the level list and its bincount: 6.2-6.6 at
-# 2**18-2**20 counted levels (tracemalloc).
-_LEVEL_BYTES = 8
 
 # Most payoff rows per part that one `_run` chunk stacks into a payoff call.
 _BATCH_ROWS = 2**14
@@ -215,27 +209,21 @@ def _terms(
 # ---------------------------------------------------------------------------
 
 
-def nested_allocation(budget: int, gamma: float = 1.0) -> tuple[int, int]:
-    """Split a budget of inner*outer evaluations for the nested estimator.
-
-    With the inner bias decaying like inner**-gamma, the error-optimal split
-    puts outer = budget**w and inner = budget**(1-w) with w = 2*gamma/(1+2*gamma)
-    (more samples outside, fewer inside).  Returns (inner, outer), each
-    floored at 1.  Requires gamma > 1/2.
-    """
+def nested_allocation(budget: int) -> tuple[int, int]:
+    """(inner, outer) = (floor(budget**(1/3)), floor(budget**(2/3))) in exact
+    integers: the error-optimal nested split of a budget of inner*outer
+    evaluations when the inner bias decays like 1/inner."""
     if budget < 4:
         raise ValueError("budget must be at least 4")
-    if gamma <= 0.5:
-        raise ValueError("gamma must exceed 1/2 for the allocation heuristic")
-    w = 2.0 * gamma / (1.0 + 2.0 * gamma)
-    return max(1, _floor_power(budget, 1.0 - w)), max(1, _floor_power(budget, w))
+    return _icbrt(int(budget)), _icbrt(int(budget) ** 2)
 
 
-def _floor_power(budget: int, exponent: float) -> int:
-    # floor(budget**exponent) with a relative nudge so exact integer powers
-    # (e.g. 4096**(2/3) = 256) survive floating-point rounding.
-    x = float(budget) ** exponent
-    return int(np.floor(x * (1.0 + 1e-12) + 1e-12))
+def _icbrt(n: int) -> int:
+    """Largest k with k**3 <= n (n >= 1), by integer Newton steps from above."""
+    k = 1 << -(-n.bit_length() // 3)
+    while (step := (2 * k + n // (k * k)) // 3) < k:
+        k = step
+    return k
 
 
 def _chunks(count: int, rows: int, max_rows: int) -> Iterator[int]:
@@ -264,16 +252,20 @@ def _accumulate_best_means(
     prior: PriorSampler,
     draws: int,
     rng: np.random.Generator,
+    stop: threading.Event,
 ) -> float:
     """max_d of the per-decision mean over ``draws`` prior samples, chunked.
 
     The max of means, not the mean of maxes: it converges from above (in
-    expectation) to the best expected payoff.
+    expectation) to the best expected payoff.  Stops, returning a meaningless
+    value, at the first chunk boundary after ``stop`` is set.
     """
     sums = np.zeros(model.n_decisions, dtype=np.float64)
     for payoffs in _payoff_chunks(model, prior, draws, rng):
         sums += payoffs.sum(axis=0)
         del payoffs  # free this chunk before the next one is drawn
+        if stop.is_set():
+            break
     return float((sums / draws).max())
 
 
@@ -291,16 +283,21 @@ def _nested_result(
     from ``baseline_gen``, runs on one helper thread while this thread folds
     ``outer``.  Each term is a sequential fold over its own stream, so the
     bits are those of computing one term after the other.  The helper is
-    joined before this returns, also when either term raises; an error of
-    the outer term wins, as it would if the outer term ran first.
+    joined before this returns or raises; an error of the outer term stops
+    it at its next chunk and wins, as it would if the outer term ran first.
     """
+    stop = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as helper:
         baseline = helper.submit(
-            _accumulate_best_means, model, prior, baseline_draws, baseline_gen
+            _accumulate_best_means, model, prior, baseline_draws, baseline_gen, stop
         )
         moments = _RunningMoments()
-        for values in outer:
-            moments.add_many(values)
+        try:
+            for values in outer:
+                moments.add_many(values)
+        except BaseException:
+            stop.set()
+            raise
         return EstimateResult(
             estimate=float(moments.mean - baseline.result()),
             n_draws=moments.count,
@@ -437,18 +434,9 @@ def _run(
                 f"budget must be at least {parts * dist.cost(1)}, the cost of one "
                 "level-1 draw"
             )
-        # every level costs at least base per part
-        max_levels = budget // (parts * dist.base)
-        level_bytes = max_levels * _LEVEL_BYTES
-        if level_bytes > _MAX_DRAW_BYTES:
-            raise MemoryError(
-                f"budget {budget} allows up to {max_levels} levels "
-                f"({level_bytes} bytes), above the level-sequence bound of "
-                f"{_MAX_DRAW_BYTES} bytes; no levels were drawn"
-            )
         # a draw costs parts*base**l, so the prefix rule over budget reduces to
         # the plain rule over budget // parts
-        counts = np.bincount(draws_for_budget(dist, budget // parts, level_rng)[0])
+        counts = prefix_level_counts(dist, budget // parts, level_rng)
         n = int(counts.sum())
         if n == 0:
             raise BudgetExhaustedError(
@@ -502,8 +490,7 @@ def evpi_mlmc(
       draws with uncapped levels.  A fixed number of unbiased terms averages
       to an unbiased estimate (the fixed-replicate form of Rhee and Glynn,
       Operations Research 63(5), 2015); ``budget`` is the expected cost of
-      the run and the realized ``cost_used`` may exceed it.  Only the number
-      of draws at each level is drawn, never a level sequence.  Raises
+      the run and the realized ``cost_used`` may exceed it.  Raises
       ValueError, naming the minimum, when the budget is below one draw's
       expected cost.
     * ``"prefix"``: draws levels until their cumulative cost base**l would
@@ -513,9 +500,8 @@ def evpi_mlmc(
       the first level does not fit (re-drawing it would tilt the level law).
       `run_plan` and the CLI use this rule.
 
-    Raises MemoryError before drawing any level when the prefix rule's level
-    sequence could need more than 2**30 bytes (``_LEVEL_BYTES`` per counted
-    level), and under either rule before sampling when one draw would need
+    Either rule keeps only the number of draws at each level, never a level
+    list, and raises MemoryError before sampling when one draw would need
     more than 2**30 bytes of samples (base**level * dimension * 8).
     """
     _check_variant("variant", variant)

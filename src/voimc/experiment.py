@@ -68,7 +68,6 @@ class ExperimentPlan:
     subset: tuple[int, ...] | None = None
     base: int = 2
     ratio: float | None = None  # None: optimal_ratio(base, 1)
-    gamma: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -197,7 +196,7 @@ def run_replication(task: _ReplicationTask) -> ReplicateRecord:
                 rng=stream,
             )
         elif plan.estimator == "evppi-nested":
-            inner, outer = nested_allocation(task.budget, plan.gamma)
+            inner, outer = nested_allocation(task.budget)
             result = evppi_nested(
                 model,
                 factored,
@@ -321,7 +320,6 @@ def render_csv(report: ConvergenceReport, plan: ExperimentPlan) -> str:
         ("subset", "|".join(str(s) for s in report.subset or ())),
         ("base", plan.base),
         ("ratio", repr(plan.level_ratio)),
-        ("gamma", repr(float(plan.gamma))),
         ("seed", plan.seed),
         ("truth", repr(report.truth)),
     ]

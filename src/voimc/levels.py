@@ -11,6 +11,7 @@ estimators rely on that (the prefix rule is `draws_for_budget` below).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +21,10 @@ __all__ = [
     "BudgetExhaustedError",
     "optimal_ratio",
     "draws_for_budget",
+    "prefix_level_counts",
 ]
 
-# Levels `draws_for_budget` draws per `sample_levels` call.  Any block size
+# Levels the prefix walk draws per `sample_levels` call.  Any block size
 # consumes the same uniforms in the same order, so it does not change the
 # prefix; it only bounds the uniforms drawn past the stopping point.
 _LEVEL_BLOCK = 256
@@ -118,17 +120,9 @@ def optimal_ratio(base: int, decay: float) -> float:
     return float(base) ** (-(2.0 * decay + 1.0) / 2.0)
 
 
-def draws_for_budget(
-    dist: LevelDistribution, budget: int, rng: np.random.Generator
-) -> tuple[list[int], int]:
-    """Longest i.i.d. level prefix whose total cost fits within ``budget``.
-
-    Levels are drawn from ``dist`` until the next one would push the
-    cumulative cost past ``budget``; that draw is discarded and generation
-    stops (re-drawing a cheaper level instead would tilt the level law).
-    Returns (levels, n) with sum(base**l) <= budget; n may be 0 when the very
-    first level does not fit.
-    """
+def _prefix_blocks(dist, budget: int, rng) -> Iterator[np.ndarray]:
+    """The levels of the longest i.i.d. prefix whose cost fits ``budget``, one
+    `sample_levels` block at a time; the last block is cut at the stop."""
     if budget < 1:
         raise ValueError("budget must be a positive integer")
     # costs[l] = base**l for every level that fits the budget alone, and
@@ -140,13 +134,41 @@ def draws_for_budget(
         table.append(dist.cost(len(table)))
     table[-1] = budget + 1
     costs = np.array(table, dtype=np.int64 if budget < 2**54 else object)
-    levels: list[int] = []
     remaining = budget
     while True:
         block = dist.sample_levels(rng, _LEVEL_BLOCK)
         spent = np.cumsum(costs[np.minimum(block, len(costs) - 1)])
         stop = int(np.searchsorted(spent, remaining, side="right"))
-        levels += block[:stop].tolist()
+        yield block[:stop]
         if stop < _LEVEL_BLOCK:
-            return levels, len(levels)
+            return
         remaining -= int(spent[-1])
+
+
+def draws_for_budget(
+    dist: LevelDistribution, budget: int, rng: np.random.Generator
+) -> tuple[list[int], int]:
+    """Longest i.i.d. level prefix whose total cost fits within ``budget``.
+
+    Levels are drawn from ``dist`` until the next one would push the
+    cumulative cost past ``budget``; that draw is discarded and generation
+    stops (re-drawing a cheaper level instead would tilt the level law).
+    Returns (levels, n) with sum(base**l) <= budget; n may be 0 when the very
+    first level does not fit.
+    """
+    levels = np.concatenate(list(_prefix_blocks(dist, budget, rng))).tolist()
+    return levels, len(levels)
+
+
+def prefix_level_counts(
+    dist: LevelDistribution, budget: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``np.bincount`` of the levels `draws_for_budget` draws: int64 counts by
+    level up to the deepest drawn (empty if none fits), counted block by block
+    in memory that does not grow with the budget."""
+    counts = np.zeros(0, dtype=np.int64)
+    for block in _prefix_blocks(dist, budget, rng):
+        found = np.bincount(block, minlength=counts.shape[0])
+        found[: counts.shape[0]] += counts
+        counts = found
+    return counts

@@ -185,7 +185,7 @@ class FactoredSampler:
         """Full parameter vectors from an (n, n_revealed) revealed block and
         the hidden rows `draw_conditional` returns for it."""
         hidden_samples = np.asarray(hidden_samples, dtype=np.float64)
-        repeats = hidden_samples.shape[0] // len(revealed_values)
+        repeats = hidden_samples.shape[0] // max(len(revealed_values), 1)
         out = np.empty((hidden_samples.shape[0], self.dimension), dtype=np.float64)
         out[:, self._revealed_idx] = np.repeat(revealed_values, repeats, axis=0)
         out[:, self._hidden_idx] = hidden_samples

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +163,17 @@ def draws_for_budget_loop(dist, budget: int, rng) -> tuple[list[int], int]:
             total += cost
 
 
+def icbrt(n: int) -> int:
+    """Largest integer k with k**3 <= n: a floating-point guess, corrected in
+    exact integer arithmetic."""
+    k = round(n ** (1.0 / 3.0))
+    while k**3 > n:
+        k -= 1
+    while (k + 1) ** 3 <= n:
+        k += 1
+    return k
+
+
 def serial_nested(
     model, prior, *, outer_draws, baseline_draws, rng, factored=None, inner_draws=1
 ) -> EstimateResult:
@@ -183,7 +195,7 @@ def serial_nested(
             moments.add_many(payoffs.reshape(n, inner_draws, -1).mean(axis=1).max(axis=1))
         cost = outer_draws * inner_draws + baseline_draws
     baseline = _accumulate_best_means(
-        model, prior, baseline_draws, rng.child(1).generator()
+        model, prior, baseline_draws, rng.child(1).generator(), threading.Event()
     )
     return EstimateResult(
         estimate=float(moments.mean - baseline),

@@ -190,11 +190,8 @@ def test_budget_exhausted_exits_three(benchmark_model_path, capsys):
         ],
         # ratio * base >= 1 is no level law, even for a nested estimator
         ["study", "--estimator", "evpi-nested", "--budgets", "16", "--r", "0.9"],
-        # a budget of 2**40 allows 2**39 levels, above the level-sequence
-        # memory bound, so the run is refused before any level is drawn
-        ["estimate", "--estimator", "evpi-coupled", "--budget", "1099511627776"],
     ],
-    ids=["oversized-level", "workers-0", "ratio-0.9", "oversized-budget"],
+    ids=["oversized-level", "workers-0", "ratio-0.9"],
 )
 def test_refused_run_exits_two_without_output(args, benchmark_model_path, capsys, tmp_path):
     out = tmp_path / "out.csv"
@@ -202,6 +199,19 @@ def test_refused_run_exits_two_without_output(args, benchmark_model_path, capsys
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+def test_gamma_option_refused(benchmark_model_path, capsys):
+    # the nested split is fixed, (floor(C**(1/3)), floor(C**(2/3))), so there
+    # is no --gamma to set and no #CONFIG,gamma line to record it
+    args = ["study", "--estimator", "evppi-nested", "--model", benchmark_model_path]
+    args += ["--subset", "1,2", "--budgets", "64", "--reps", "1"]
+    with pytest.raises(SystemExit) as info:
+        main(args + ["--gamma", "1.0"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert main(args) == 0
+    assert "#CONFIG,gamma" not in capsys.readouterr().out
 
 
 def test_unwritable_out_exits_two(benchmark_model_path, capsys, tmp_path, monkeypatch):
@@ -240,12 +250,14 @@ def test_non_finite_model_exits_two_before_sampling(capsys, tmp_path, monkeypatc
 
 
 def test_failed_run_keeps_existing_out(benchmark_model_path, capsys, tmp_path):
-    # the run is refused inside run_plan, after --out is opened; the file
-    # keeps its old bytes until a run succeeds and replaces all of them
+    # the run is refused inside run_plan (a level above the per-draw memory
+    # bound), after --out is opened; the file keeps its old bytes until a run
+    # succeeds and replaces all of them
     out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
     out.write_text("previous results\n" * 1000)
     args = ["estimate", "--estimator", "evpi-coupled", "--model", benchmark_model_path]
-    assert main(args + ["--budget", "1099511627776", "--out", str(out)]) == 2
+    oversized = ["--b", "67108864", "--r", "1e-8", "--budget", "268435456"]
+    assert main(args + oversized + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert out.read_text() == "previous results\n" * 1000
     assert main(args + ["--budget", "64", "--out", str(out)]) == 0

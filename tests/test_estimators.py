@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from voimc import (
     BudgetExhaustedError,
+    DecisionModel,
     ExperimentPlan,
     FactoredSampler,
     LevelDistribution,
@@ -29,7 +30,6 @@ from voimc import (
 from voimc import estimators
 from voimc.estimators import (
     _BATCH_ROWS,
-    _LEVEL_BYTES,
     _accumulate_best_means,
     _freeze_levels,
     _RunningMoments,
@@ -47,6 +47,7 @@ from support import (
     conditional_plugin_mean,
     conditional_term,
     constant_model,
+    icbrt,
     level_correction_mean,
     per_draw_run,
     plugin_mean,
@@ -118,17 +119,20 @@ class TestMaxMeanPayoff:
         samples = np.array([[1, 1, 1, 1, 1], [-3, -1, -1, -1, -1]], dtype=float)
         # per-decision means are (-1, 0); the mean of per-sample maxima is 2.5
         gen = RngStream(0).generator()
-        assert _accumulate_best_means(model, fixed_prior(samples), 2, gen) == 0.0
+        stop = threading.Event()
+        assert _accumulate_best_means(model, fixed_prior(samples), 2, gen, stop) == 0.0
 
     def test_single_decision_is_plain_mean(self):
         model = single_decision_model(dimension=1)
         samples = fixed_prior(np.array([[2.0], [4.0]]))
-        assert _accumulate_best_means(model, samples, 2, RngStream(0).generator()) == 3.0
+        gen = RngStream(0).generator()
+        assert _accumulate_best_means(model, samples, 2, gen, threading.Event()) == 3.0
 
     def test_one_sample_reduces_to_best_payoff(self, tie_setup):
         model, prior, _ = tie_setup
         x = prior.draw(RngStream(14).generator(), 1)
-        best = _accumulate_best_means(model, prior, 1, RngStream(14).generator())
+        gen = RngStream(14).generator()
+        best = _accumulate_best_means(model, prior, 1, gen, threading.Event())
         assert best == model.payoff_matrix(x)[0].max()
 
     def test_empty_rejected(self, tie_setup):
@@ -149,23 +153,26 @@ class TestMaxMeanPayoff:
 
 class TestNestedAllocation:
     def test_reference_budget(self):
-        assert nested_allocation(2**12, 1.0) == (16, 256)
+        assert nested_allocation(2**12) == (16, 256)
 
     def test_tiny_budget(self):
-        assert nested_allocation(4, 1.0) == (1, 2)
+        assert nested_allocation(4) == (1, 2)
 
-    def test_outer_share_grows_with_gamma(self):
-        inner_lo, outer_lo = nested_allocation(4096, 1.0)
-        inner_hi, outer_hi = nested_allocation(4096, 1e6)
-        assert outer_hi > outer_lo
-        assert inner_hi <= inner_lo
-        assert outer_hi >= 4095  # w -> 1 pushes everything outside
+    def test_exact_integer_floors(self):
+        # every budget up to 2**20, and 2**k - 1, 2**k, 2**k + 1 above it,
+        # where a floating-point cube root overshoots the floor (at 2**39 - 1
+        # it gave an inner count of 8192, although 8192**3 > 2**39 - 1)
+        budgets = [*range(4, 2**20 + 1)]
+        budgets += [2**k + d for k in range(20, 63) for d in (-1, 0, 1)]
+        for budget in budgets:
+            assert nested_allocation(budget) == (icbrt(budget), icbrt(budget**2))
+        assert nested_allocation(2**39 - 1) == (8191, 67108863)
+        # a NumPy integer budget is split as the same Python integer
+        assert nested_allocation(np.int64(2**62 + 1)) == nested_allocation(2**62 + 1)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            nested_allocation(3, 1.0)
-        with pytest.raises(ValueError):
-            nested_allocation(100, 0.5)
+            nested_allocation(3)
 
 
 class TestNestedEstimators:
@@ -213,7 +220,7 @@ class TestNestedEstimators:
 
     def test_evppi_nested_mean_matches_exact_two_term_oracle(self, tie_setup):
         model, prior, factored = tie_setup
-        inner, outer = nested_allocation(2**10, 1.0)
+        inner, outer = nested_allocation(2**10)
         expected = conditional_plugin_mean(TIE_CONFIG, (1, 2), inner) - plugin_mean(
             TIE_CONFIG, 2**10
         )
@@ -374,6 +381,43 @@ class TestConcurrentBaseline:
         assert error == _raised(serial)
         assert error[0] is PayoffEvaluationError
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("evppi", [False, True], ids=["evpi", "evppi"])
+    def test_outer_error_stops_baseline(self, tie_setup, monkeypatch, evppi):
+        # 2**16 baseline draws in 64-row chunks are 1,024 chunks.  The outer
+        # term's payoff fails on the calling thread; the baseline sampler
+        # waits for that failure before each of its draws, so every chunk it
+        # draws comes after it.  The chunk in hand may finish, one more may
+        # start before the stop is seen, and no further one.
+        monkeypatch.setattr(estimators, "_NESTED_CHUNK", 64)
+        model, prior, factored = tie_setup
+        caller = threading.get_ident()
+        failed = threading.Event()
+        baseline_chunks = 0
+
+        def payoff(xs):
+            if threading.get_ident() == caller:
+                failed.set()
+                raise RuntimeError("outer payoff failed")
+            return model.payoff(xs)
+
+        def draw(gen, size):
+            nonlocal baseline_chunks
+            if threading.get_ident() != caller:
+                assert failed.wait(timeout=60)
+                baseline_chunks += 1
+            return prior.draw(gen, size)
+
+        failing = DecisionModel(model.decisions, payoff, model.dimension)
+        sampler = PriorSampler(dimension=prior.dimension, draw_fn=draw)
+        run, _ = _nested_calls(
+            failing, sampler, factored if evppi else None,
+            outer_draws=100, baseline_draws=2**16, rng=RngStream(46),
+        )
+        before = threading.active_count()
+        assert _raised(run) == (RuntimeError, "outer payoff failed")
+        assert threading.active_count() == before
+        assert 1 <= baseline_chunks <= 2
 
     def test_process_pool_after_nested_call(self, tie_setup, benchmark_model_path):
         # the pool forks after an in-process call has started and joined its
@@ -841,33 +885,6 @@ class TestMlmcEstimators:
         with pytest.raises(MemoryError, match="per-draw bound"):
             evppi_mlmc(model, factored, prior, huge, 2**29, rng=RngStream(0))
 
-    def test_oversized_level_sequence_refused_before_drawing(self, tie_setup):
-        # a budget of 2**40 asks the prefix rule for 2**39 counted levels,
-        # priced at _LEVEL_BYTES each, above the bound, so the run is refused
-        # before any level or sample is drawn
-        model, _, factored = tie_setup
-
-        def never(_rng, _size):
-            pytest.fail("sampled a run above the level-sequence memory bound")
-
-        prior = PriorSampler(dimension=5, draw_fn=never)
-        tracemalloc.start()
-        try:
-            with pytest.raises(MemoryError, match="level-sequence bound"):
-                evpi_mlmc(
-                    model, prior, DIST, 2**40, "single", RngStream(0),
-                    budget_rule="prefix",
-                )
-            with pytest.raises(MemoryError, match="level-sequence bound"):
-                evppi_mlmc(
-                    model, factored, prior, DIST, 2**40, rng=RngStream(0),
-                    budget_rule="prefix",
-                )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-
     @staticmethod
     def _peak_before_first_sample(run) -> int:
         """tracemalloc peak of ``run(prior)`` up to the prior's first draw."""
@@ -887,33 +904,30 @@ class TestMlmcEstimators:
             tracemalloc.stop()
         return peak
 
-    def test_level_sequence_peak_within_priced_bytes(self, tie_setup):
-        # the bound prices a counted level of the prefix rule at _LEVEL_BYTES:
-        # building the sequence for 2**18 counted levels must peak within that
-        # price plus fixed overhead
-        model, _, _ = tie_setup
-        levels = 2**18
+    @pytest.mark.parametrize("draws", [2**18, 2**20])
+    @pytest.mark.parametrize("budget_rule", ["expected", "prefix"])
+    def test_peak_before_first_sample_is_small(self, tie_setup, budget_rule, draws):
+        # neither rule keeps a level sequence: the expected rule draws counts
+        # per level, and the prefix rule counts its levels block by block, so
+        # the memory up to the first sample does not grow with the budget.
+        # ``draws`` is the number of draws, or of counted levels (budget //
+        # (parts * base)) under the prefix rule.
+        model, _, factored = tie_setup
+        if budget_rule == "expected":
+            budget = math.ceil(draws * DIST.expected_cost())
+        else:
+            budget = draws * DIST.base
         peak = self._peak_before_first_sample(
             lambda prior: evpi_mlmc(
-                model, prior, DIST, levels * DIST.base, "single", RngStream(0),
-                budget_rule="prefix",
+                model, prior, DIST, budget, "single", RngStream(0),
+                budget_rule=budget_rule,
             )
-        )
-        assert peak <= levels * _LEVEL_BYTES + 2**16
-
-    @pytest.mark.parametrize("draws", [2**18, 2**20])
-    def test_expected_rule_peak_before_first_sample_is_small(self, tie_setup, draws):
-        # the expected rule draws per-level counts, not a level sequence, so
-        # its memory up to the first sample does not grow with the budget
-        model, _, factored = tie_setup
-        budget = math.ceil(draws * DIST.expected_cost())
-        peak = self._peak_before_first_sample(
-            lambda prior: evpi_mlmc(model, prior, DIST, budget, "single", RngStream(0))
         )
         assert peak < 2**16
         peak = self._peak_before_first_sample(
             lambda prior: evppi_mlmc(
-                model, factored, prior, DIST, 2 * budget, rng=RngStream(0)
+                model, factored, prior, DIST, 2 * budget, rng=RngStream(0),
+                budget_rule=budget_rule,
             )
         )
         assert peak < 2**16

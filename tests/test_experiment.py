@@ -294,5 +294,5 @@ class TestNestedStudyWiring:
         )
         report = run_plan(plan)
         row = report.records[4096][0]
-        assert row.n_draws == 256  # outer count at gamma = 1
+        assert row.n_draws == 256  # outer count: 4096**(2/3)
         assert row.cost_used == 256 * 16 + 4096

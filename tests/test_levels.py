@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voimc import LevelDistribution, RngStream, draws_for_budget, optimal_ratio
+from voimc.levels import prefix_level_counts
 
 from support import budget_rule_mean, draws_for_budget_loop
 
@@ -280,10 +281,15 @@ class TestDrawsForBudget:
         # than the whole budget are common
         dist = LevelDistribution(base, share / base)
         levels, n = draws_for_budget(dist, budget, RngStream(seed).generator())
-        assert (levels, n) == draws_for_budget_loop(
+        loop_levels, loop_n = draws_for_budget_loop(
             dist, budget, RngStream(seed).generator()
         )
+        assert (levels, n) == (loop_levels, loop_n)
         assert all(type(level) is int for level in levels)
+        # the counts by level walk the same prefix
+        counts = prefix_level_counts(dist, budget, RngStream(seed).generator())
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.bincount(np.array(loop_levels, dtype=np.int64)))
 
     @pytest.mark.parametrize("budget", [2**30, 2**60])
     @pytest.mark.parametrize("at", [5, 300])

@@ -141,6 +141,12 @@ class TestSamplers:
             factored.combine(revealed, hidden[:5])
         with pytest.raises(ValueError):
             factored.draw_conditional(revealed[0], gen, 2)
+        # a block of no revealed rows has no hidden rows and combines to none
+        none = factored.draw_marginal(gen, 0)
+        assert none.shape == (0, 2)
+        hidden = factored.draw_conditional(none, gen, 3)
+        assert hidden.shape == (0, 3)
+        assert factored.combine(none, hidden).shape == (0, 5)
 
     def test_empty_revealed_block(self):
         _, _, factored = make_gaussian_model(TIE_CONFIG, ())
