@@ -20,10 +20,10 @@ cancel to exactly 0.0, the unweighted bracket of a level correction is
 non-negative for every realization (not merely in expectation), and the
 level-1 single/coupled coupling identity holds to the bit.  Tests rely on all
 three properties.  A multilevel run needs only how many draws land on each
-level; the draws of one level are sampled from one stream per part and
-evaluated in chunks, stacked into one payoff call and one `_terms` fold per
-chunk.  The fold reduces each draw on its own, so every term has the bits it
-would have alone, whatever the chunk size.
+level; the draws of one level are sampled from one stream per kind of
+sample and evaluated in chunks, stacked into one payoff call and one
+`_terms` fold per part and chunk.  The fold reduces each draw on its own, so
+every term has the bits it would have alone, whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -205,6 +205,55 @@ def _terms(
 
 
 # ---------------------------------------------------------------------------
+# samplers and stream layout
+# ---------------------------------------------------------------------------
+# The estimators read two kinds of information.  Perfect information is prior
+# rows (`_prior_rows`); partial information is a revealed block with
+# conditional rows for each of its rows (`_conditional_rows`).  A sampler
+# ``rows(*gens, n, k)`` returns n draws of k consecutive rows each, reading
+# one generator per kind of sample.  Streams below a call's root ``rng``:
+#
+#   nested      child(0)     outer samples: prior rows (evpi) or revealed blocks
+#               child(1)     baseline prior rows, on the helper thread
+#               child(2)     conditional rows (evppi)
+#   multilevel  child(0)     the number of draws at each level, drawn first
+#               child(1, l)  prior rows of every draw at level l
+#               child(2, l)  revealed blocks of every draw at level l
+#               child(3, l)  their conditional rows
+#
+# Each stream serves one kind of sample only and is consumed in chunks of
+# whole draws (`_chunks`), so it yields the same samples whatever the chunk
+# size, and no samples are held beyond the current chunk.  The
+# perfect-information part of `evppi_mlmc` reads child(1, l) exactly as
+# `evpi_mlmc` does, which keeps the two estimators bit-identical on models
+# whose conditional part is degenerate.
+
+_Rows = Callable[..., np.ndarray]
+
+
+def _prior_rows(prior: PriorSampler) -> _Rows:
+    return lambda gen, n, k: prior.draw(gen, n * k)
+
+
+def _conditional_rows(factored: FactoredSampler) -> _Rows:
+    def rows(gen_revealed, gen_hidden, n: int, k: int) -> np.ndarray:
+        revealed = factored.draw_marginal(gen_revealed, n)
+        hidden = factored.draw_conditional(revealed, gen_hidden, k)
+        return factored.combine(revealed, hidden)
+
+    return rows
+
+
+def _chunks(count: int, rows: int, max_rows: int) -> Iterator[int]:
+    """Sizes of the chunks that ``count`` draws of ``rows`` rows each take:
+    whole draws, at most ``max_rows`` rows (one draw if a single draw is
+    larger)."""
+    step = max(1, max_rows // rows)
+    for start in range(0, count, step):
+        yield min(step, count - start)
+
+
+# ---------------------------------------------------------------------------
 # nested estimators
 # ---------------------------------------------------------------------------
 
@@ -226,27 +275,6 @@ def _icbrt(n: int) -> int:
     return k
 
 
-def _chunks(count: int, rows: int, max_rows: int) -> Iterator[int]:
-    """Sizes of the chunks that ``count`` draws of ``rows`` rows each take:
-    whole draws, at most ``max_rows`` rows (one draw if a single draw is
-    larger)."""
-    step = max(1, max_rows // rows)
-    for start in range(0, count, step):
-        yield min(step, count - start)
-
-
-def _payoff_chunks(
-    model: DecisionModel,
-    prior: PriorSampler,
-    draws: int,
-    gen: np.random.Generator,
-) -> Iterator[np.ndarray]:
-    """Payoffs of ``draws`` prior samples from ``gen``, in batches of at most
-    ``_NESTED_CHUNK`` rows."""
-    for n in _chunks(draws, 1, _NESTED_CHUNK):
-        yield model.payoff_matrix(prior.draw(gen, n))
-
-
 def _accumulate_best_means(
     model: DecisionModel,
     prior: PriorSampler,
@@ -254,54 +282,63 @@ def _accumulate_best_means(
     rng: np.random.Generator,
     stop: threading.Event,
 ) -> float:
-    """max_d of the per-decision mean over ``draws`` prior samples, chunked.
+    """max_d of the per-decision mean over ``draws`` prior samples, in chunks
+    of at most ``_NESTED_CHUNK`` rows.
 
     The max of means, not the mean of maxes: it converges from above (in
     expectation) to the best expected payoff.  Stops, returning a meaningless
     value, at the first chunk boundary after ``stop`` is set.
     """
+    rows = _prior_rows(prior)
     sums = np.zeros(model.n_decisions, dtype=np.float64)
-    for payoffs in _payoff_chunks(model, prior, draws, rng):
-        sums += payoffs.sum(axis=0)
-        del payoffs  # free this chunk before the next one is drawn
+    for n in _chunks(draws, 1, _NESTED_CHUNK):
+        sums += model.payoff_matrix(rows(rng, n, 1)).sum(axis=0)
         if stop.is_set():
             break
     return float((sums / draws).max())
 
 
-def _nested_result(
-    outer: Iterator[np.ndarray],
+def _nested(
     model: DecisionModel,
     prior: PriorSampler,
-    baseline_draws: int,
-    baseline_gen: np.random.Generator,
-    cost_used: int,
+    rows: _Rows,
+    streams: tuple[int, ...],
+    outer: int,
+    inner: int,
+    baseline: int,
+    rng: RngStream,
 ) -> EstimateResult:
-    """Mean of the per-draw values ``outer`` yields, minus the baseline term.
+    """Mean over ``outer`` draws of the best decision's mean over the draw's
+    ``inner`` rows, minus the baseline term.
 
-    The baseline, `_accumulate_best_means` over ``baseline_draws`` samples
-    from ``baseline_gen``, runs on one helper thread while this thread folds
-    ``outer``.  Each term is a sequential fold over its own stream, so the
+    ``rows`` samples them from ``rng.child(k)``, k in ``streams``, in chunks
+    of whole draws of at most ``_NESTED_CHUNK`` rows.  The baseline term,
+    `_accumulate_best_means` over ``baseline`` prior samples from
+    ``rng.child(1)``, runs on one helper thread while this thread folds the
+    outer term.  Each term is a sequential fold over its own streams, so the
     bits are those of computing one term after the other.  The helper is
-    joined before this returns or raises; an error of the outer term stops
-    it at its next chunk and wins, as it would if the outer term ran first.
+    joined before this returns or raises; an error of the outer term stops it
+    at its next chunk and wins, as it would if the outer term ran first.
     """
+    baseline_gen = rng.child(1).generator()
+    gens = [rng.child(k).generator() for k in streams]
     stop = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as helper:
-        baseline = helper.submit(
-            _accumulate_best_means, model, prior, baseline_draws, baseline_gen, stop
+        best_means = helper.submit(
+            _accumulate_best_means, model, prior, baseline, baseline_gen, stop
         )
         moments = _RunningMoments()
         try:
-            for values in outer:
-                moments.add_many(values)
+            for n in _chunks(outer, inner, _NESTED_CHUNK):
+                payoffs = model.payoff_matrix(rows(*gens, n, inner))
+                moments.add_many(payoffs.reshape(n, inner, -1).mean(axis=1).max(axis=1))
         except BaseException:
             stop.set()
             raise
         return EstimateResult(
-            estimate=float(moments.mean - baseline.result()),
+            estimate=float(moments.mean - best_means.result()),
             n_draws=moments.count,
-            cost_used=cost_used,
+            cost_used=outer * inner + baseline,
             term_variance=moments.sample_variance,
         )
 
@@ -325,14 +362,9 @@ def evpi_nested(
     """
     if outer_draws < 1 or baseline_draws < 1:
         raise ValueError("outer_draws and baseline_draws must be >= 1")
-    outer_gen = rng.child(0).generator()
-    baseline_gen = rng.child(1).generator()
-    outer = (
-        payoffs.max(axis=1)
-        for payoffs in _payoff_chunks(model, prior, outer_draws, outer_gen)
-    )
-    return _nested_result(
-        outer, model, prior, baseline_draws, baseline_gen, outer_draws + baseline_draws
+    # the mean over one row is that row, bit for bit
+    return _nested(
+        model, prior, _prior_rows(prior), (0,), outer_draws, 1, baseline_draws, rng
     )
 
 
@@ -352,49 +384,19 @@ def evppi_nested(
     decision of an ``inner_draws``-sample conditional mean, averages those
     bests, and subtracts the baseline term of `evpi_nested`, evaluated
     concurrently as there.  Both terms carry finite-sample Jensen bias.
-    Cost: outer_draws*inner_draws + baseline_draws.  The revealed blocks come
-    from one stream and the conditional samples of every outer draw from
-    another, in chunks of whole outer draws of at most ``_NESTED_CHUNK`` rows.
+    Cost: outer_draws*inner_draws + baseline_draws.
     """
     if outer_draws < 1 or inner_draws < 1 or baseline_draws < 1:
         raise ValueError("all draw counts must be >= 1")
-    revealed_gen = rng.child(0).generator()
-    baseline_gen = rng.child(1).generator()
-    hidden_gen = rng.child(2).generator()
-
-    def outer() -> Iterator[np.ndarray]:
-        for n in _chunks(outer_draws, inner_draws, _NESTED_CHUNK):
-            revealed = factored.draw_marginal(revealed_gen, n)
-            hidden = factored.draw_conditional(revealed, hidden_gen, inner_draws)
-            payoffs = model.payoff_matrix(factored.combine(revealed, hidden))
-            del hidden  # free the samples before the next chunk is drawn
-            yield payoffs.reshape(n, inner_draws, -1).mean(axis=1).max(axis=1)
-
-    return _nested_result(
-        outer(),
-        model,
-        prior,
-        baseline_draws,
-        baseline_gen,
-        outer_draws * inner_draws + baseline_draws,
+    return _nested(
+        model, prior, _conditional_rows(factored), (0, 2),
+        outer_draws, inner_draws, baseline_draws, rng,
     )
 
 
 # ---------------------------------------------------------------------------
 # randomized multilevel estimators
 # ---------------------------------------------------------------------------
-#
-# Stream layout shared by both estimators (rng is the run's root stream):
-#   child(0)      the number of draws at each level, drawn before any sample
-#   child(1, l)   the prior samples of every draw at level l
-#   child(2, l)   the revealed blocks of every draw at level l  } partial
-#   child(3, l)   their conditional samples                    } information
-# Each level is consumed in chunks of whole draws (`_chunks`).  A stream
-# serves one kind of sample only, so it yields the same samples whatever the
-# chunk size, and no samples are held beyond the current chunk.  The
-# perfect-information part of `evppi_mlmc` reads child(1, l) exactly as
-# `evpi_mlmc` does, which keeps the two estimators bit-identical on models
-# whose conditional part is degenerate.
 
 
 def _check_variant(name: str, variant: str) -> None:
@@ -403,23 +405,26 @@ def _check_variant(name: str, variant: str) -> None:
 
 
 def _run(
+    model: DecisionModel,
+    parts: list[tuple[str, tuple[int, ...], _Rows]],
     dist: LevelDistribution,
     budget: int,
     budget_rule: str,
-    parts: int,
-    dimension: int,
     rng: RngStream,
-    term: Callable[[int, int], Iterator[np.ndarray]],
 ) -> EstimateResult:
-    """One multilevel run in which every draw pays ``parts`` level costs.
+    """One multilevel run in which a draw pays its level's cost once per part.
 
-    ``term(level, count)`` yields the corrections of the ``count`` draws at
-    ``level``, chunk by chunk; each chunk reaches the moments as it comes.
-    ``budget_rule`` spends ``budget`` as described in `evpi_mlmc`.
+    Each part is (variant, stream kinds, rows): ``rows`` samples the part's
+    level-l draws from ``rng.child(k, l)``, k in the stream kinds, and
+    `_terms` turns them into ``variant`` corrections, chunk by chunk.  A
+    draw's value is its first part's term minus its second's, if any, and
+    reaches the moments with its chunk.  ``budget_rule`` spends ``budget``
+    as described in `evpi_mlmc`.
     """
+    n_parts = len(parts)
     level_rng = rng.child(0).generator()
     if budget_rule == "expected":
-        draw_cost = parts * dist.expected_cost()
+        draw_cost = n_parts * dist.expected_cost()
         n = math.floor(budget / draw_cost)
         if n == 0:
             raise ValueError(
@@ -429,14 +434,13 @@ def _run(
             )
         counts = dist.level_counts(level_rng, n)
     elif budget_rule == "prefix":
-        if budget < parts * dist.cost(1):
+        if budget < n_parts * dist.cost(1):
             raise ValueError(
-                f"budget must be at least {parts * dist.cost(1)}, the cost of one "
+                f"budget must be at least {n_parts * dist.cost(1)}, the cost of one "
                 "level-1 draw"
             )
-        # a draw costs parts*base**l, so the prefix rule over budget reduces to
-        # the plain rule over budget // parts
-        counts = prefix_level_counts(dist, budget // parts, level_rng)
+        # a draw costs n_parts * base**l: the plain rule over budget // n_parts
+        counts = prefix_level_counts(dist, budget // n_parts, level_rng)
         n = int(counts.sum())
         if n == 0:
             raise BudgetExhaustedError(
@@ -447,25 +451,32 @@ def _run(
             f"budget_rule must be one of {_BUDGET_RULES}, got {budget_rule!r}"
         )
     deepest = counts.shape[0] - 1
-    needed = dist.cost(deepest) * dimension * 8
+    needed = dist.cost(deepest) * model.dimension * 8
     if needed > _MAX_DRAW_BYTES:
         raise MemoryError(
             f"a level-{deepest} draw needs {dist.base}**{deepest} samples of "
-            f"{dimension} coordinates ({needed} bytes), above the per-draw "
+            f"{model.dimension} coordinates ({needed} bytes), above the per-draw "
             f"bound of {_MAX_DRAW_BYTES} bytes; no samples were drawn"
         )
     moments = _RunningMoments()
     per_level: dict[int, _RunningMoments] = {}
     for level in np.flatnonzero(counts).tolist():
+        cost = dist.cost(level)
+        gens = [[rng.child(k, level).generator() for k in ks] for _, ks, _ in parts]
         per_level[level] = _RunningMoments()
-        for values in term(level, int(counts[level])):
+        for m in _chunks(int(counts[level]), cost, _BATCH_ROWS):
+            y, *z = (
+                _terms(model.payoff_matrix(rows(*g, m, cost)).reshape(m, cost, -1),
+                       dist, level, variant)
+                for (variant, _, rows), g in zip(parts, gens)
+            )
+            values = y - z[0] if z else y
             per_level[level].add_many(values)
             moments.add_many(values)
-    cost = sum(dist.cost(level) * int(counts[level]) for level in per_level)
     return EstimateResult(
         estimate=float(moments.mean),
         n_draws=n,
-        cost_used=parts * cost,
+        cost_used=n_parts * sum(dist.cost(l) * int(counts[l]) for l in per_level),
         term_variance=moments.sample_variance,
         per_level=_freeze_levels(per_level),
     )
@@ -505,15 +516,8 @@ def evpi_mlmc(
     more than 2**30 bytes of samples (base**level * dimension * 8).
     """
     _check_variant("variant", variant)
-
-    def term(level: int, count: int) -> Iterator[np.ndarray]:
-        cost = dist.cost(level)
-        gen = rng.child(1, level).generator()
-        for n in _chunks(count, cost, _BATCH_ROWS):
-            payoffs = model.payoff_matrix(prior.draw(gen, n * cost))
-            yield _terms(payoffs.reshape(n, cost, -1), dist, level, variant)
-
-    return _run(dist, budget, budget_rule, 1, model.dimension, rng, term)
+    parts = [(variant, (1,), _prior_rows(prior))]
+    return _run(model, parts, dist, budget, budget_rule, rng)
 
 
 def evppi_mlmc(
@@ -542,18 +546,8 @@ def evppi_mlmc(
     """
     _check_variant("variant_y", variant_y)
     _check_variant("variant_z", variant_z)
-
-    def term(level: int, count: int) -> Iterator[np.ndarray]:
-        cost = dist.cost(level)
-        gen_y, gen_revealed, gen_hidden = (
-            rng.child(k, level).generator() for k in (1, 2, 3)
-        )
-        for n in _chunks(count, cost, _BATCH_ROWS):
-            payoffs = model.payoff_matrix(prior.draw(gen_y, n * cost))
-            value_y = _terms(payoffs.reshape(n, cost, -1), dist, level, variant_y)
-            revealed = factored.draw_marginal(gen_revealed, n)
-            hidden = factored.draw_conditional(revealed, gen_hidden, cost)
-            payoffs = model.payoff_matrix(factored.combine(revealed, hidden))
-            yield value_y - _terms(payoffs.reshape(n, cost, -1), dist, level, variant_z)
-
-    return _run(dist, budget, budget_rule, 2, model.dimension, rng, term)
+    parts = [
+        (variant_y, (1,), _prior_rows(prior)),
+        (variant_z, (2, 3), _conditional_rows(factored)),
+    ]
+    return _run(model, parts, dist, budget, budget_rule, rng)

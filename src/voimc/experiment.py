@@ -83,6 +83,8 @@ class ExperimentPlan:
             raise ValueError("budgets must be positive")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         # checked for every estimator, so a bad level law fails before any
         # worker starts or any CSV is written
         LevelDistribution(self.base, self.level_ratio)

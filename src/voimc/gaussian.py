@@ -181,6 +181,16 @@ _REQUIRED_KEYS = ("s", "w0", "w", "mu", "sigma")
 _OPTIONAL_KEYS = ("subset",)
 
 
+def _number(value, message: str) -> float:
+    """A JSON number as a float; any other value raises ConfigError(message)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(message)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float range, refused as non-finite
+        return math.inf
+
+
 def load_model_config(path) -> tuple[GaussianLinearModel, tuple[int, ...] | None]:
     """Read a benchmark configuration from a JSON file.
 
@@ -209,14 +219,8 @@ def load_model_config(path) -> tuple[GaussianLinearModel, tuple[int, ...] | None
         val = raw[key]
         if not isinstance(val, list) or len(val) != s:
             raise ConfigError(f"'{key}' must be an array of {s} numbers")
-        try:
-            arrays[key] = tuple(float(v) for v in val)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"'{key}' must contain numbers") from exc
-    try:
-        w0 = float(raw["w0"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("'w0' must be a number") from exc
+        arrays[key] = tuple(_number(v, f"'{key}' must contain numbers") for v in val)
+    w0 = _number(raw["w0"], "'w0' must be a number")
 
     try:
         config = GaussianLinearModel(

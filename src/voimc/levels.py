@@ -5,7 +5,7 @@ drawn from the geometric law pmf(l) = (1 - ratio) * ratio**(l-1), l >= 1,
 whose tail mass from j onward is exactly ratio**(j-1).  The constructor
 requires ratio * base < 1 so that one draw has finite expected cost,
 (1 - ratio) * base / (1 - ratio * base); both budget rules of the multilevel
-estimators rely on that (the prefix rule is `draws_for_budget` below).
+estimators rely on that (the prefix rule is `prefix_level_counts` below).
 """
 
 from __future__ import annotations

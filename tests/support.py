@@ -22,7 +22,6 @@ from voimc.estimators import (
     _accumulate_best_means,
     _chunks,
     _freeze_levels,
-    _payoff_chunks,
     _RunningMoments,
     _terms,
 )
@@ -182,8 +181,9 @@ def serial_nested(
     on the same child streams and the same ``_NESTED_CHUNK``."""
     moments = _RunningMoments()
     if factored is None:
-        for payoffs in _payoff_chunks(model, prior, outer_draws, rng.child(0).generator()):
-            moments.add_many(payoffs.max(axis=1))
+        gen = rng.child(0).generator()
+        for n in _chunks(outer_draws, 1, estimators._NESTED_CHUNK):
+            moments.add_many(model.payoff_matrix(prior.draw(gen, n)).max(axis=1))
         cost = outer_draws + baseline_draws
     else:
         revealed_gen = rng.child(0).generator()

@@ -91,6 +91,10 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             ExperimentPlan("evpi-single", (256,), 0, benchmark_model_path)
 
+    def test_negative_seed_rejected(self, benchmark_model_path):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentPlan("evpi-single", (256,), 1, benchmark_model_path, seed=-3)
+
     def test_default_ratio_is_variance_optimal(self, benchmark_model_path):
         plan = ExperimentPlan("evpi-single", (256,), 1, benchmark_model_path)
         assert plan.level_ratio == 2 ** (-3 / 2)

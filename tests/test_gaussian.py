@@ -201,6 +201,10 @@ class TestModelConfigFile:
             lambda p: p.update(subset=[0]),
             lambda p: p.update(subset=[1, 1]),
             lambda p: p.update(w0="abc"),
+            lambda p: p.update(w0="0.5"),
+            lambda p: p.update(w=[1.0, "1", 2.0]),
+            lambda p: p.update(sigma=[1.0, True, 0.5]),
+            lambda p: p.update(mu=[0.0, 10**400, 0.0]),
         ],
     )
     def test_invalid_payloads_rejected(self, tmp_path, mutate):
