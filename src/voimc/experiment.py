@@ -26,6 +26,7 @@ from .estimators import (
 )
 from .gaussian import (
     GaussianLinearModel,
+    _validate_subset,
     analytic_evppi,
     load_model_config,
     make_gaussian_model,
@@ -242,9 +243,12 @@ def run_replication(task: _ReplicationTask) -> ReplicateRecord:
 
 def _resolve_model(plan: ExperimentPlan):
     """Model config, the subset the run reveals, its truth, and the subset to
-    record: ``plan.subset`` if given, else the model file's."""
+    record: ``plan.subset`` if given, else the model file's.  A named subset
+    must fit the model for every estimator, since the CSV records it."""
     config, file_subset = load_model_config(plan.model_config)
     named = plan.subset if plan.subset is not None else file_subset
+    if named is not None:
+        _validate_subset(config, named)
     if not plan.needs_subset:
         subset = range(1, config.dimension + 1)  # perfect information
     elif named:

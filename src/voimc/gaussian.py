@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .model import DecisionModel, FactoredSampler, PriorSampler
 
@@ -41,9 +40,7 @@ __all__ = [
 ]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Floors a uniform away from 0.0 before inversion; ndtri(1e-300) is finite.
-_U_FLOOR = 1e-300
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class ConfigError(ValueError):
@@ -94,16 +91,14 @@ def _validate_subset(config: GaussianLinearModel, revealed) -> tuple[int, ...]:
 
 
 def _gaussian_draws(rng, size, means, stds):
-    # Inversion of the normal cdf, one uniform per variate, so the map from
-    # stream position to sample is deterministic across worker layouts.
-    # The uniforms are transformed in place, with no temporary of the block's
-    # size; the bits are those of means + stds * ndtri(u).
-    u = rng.random((size, means.shape[0]))
-    np.maximum(u, _U_FLOOR, out=u)
-    ndtri(u, out=u)
-    u *= stds
-    u += means
-    return u
+    # numpy's ziggurat normals, read in stream order: n + m rows drawn in one
+    # call equal n rows and then m rows, so the bits do not depend on chunk
+    # sizes or worker layout (they are fixed for a given numpy version).
+    # Scaled and shifted in place: the bits are those of means + stds * z.
+    z = rng.standard_normal((size, means.shape[0]))
+    z *= stds
+    z += means
+    return z
 
 
 def make_gaussian_model(
@@ -159,10 +154,12 @@ def evppi_from_moments(mean_total: float, std_revealed: float) -> float:
     if std_revealed == 0.0:
         return 0.0
     z = -mean_total / std_revealed
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+    pdf = _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+    # cdf(x) = erfc(-x * sqrt(1/2)) / 2, the argument rounded as the earlier
+    # ndtr form rounded it: the tails amplify a change here (m/s)**2-fold
     if mean_total > 0.0:
-        return float(pdf * std_revealed - ndtr(z) * mean_total)
-    return float(pdf * std_revealed + ndtr(-z) * mean_total)
+        return float(pdf * std_revealed - 0.5 * math.erfc(-z * _SQRT_HALF) * mean_total)
+    return float(pdf * std_revealed + 0.5 * math.erfc(z * _SQRT_HALF) * mean_total)
 
 
 def analytic_evppi(config: GaussianLinearModel, revealed) -> float:

@@ -312,15 +312,60 @@ def test_study_deterministic_bytes_across_workers(benchmark_model_path, tmp_path
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_module_entry_point_runs():
+def _fresh_python(*args):
+    """Run a fresh interpreter with this checkout's ``src`` on its path."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "voimc", "--help"],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
     )
+
+
+def test_module_entry_point_runs():
+    proc = _fresh_python("-m", "voimc", "--help")
     assert proc.returncode == 0
     assert "estimate" in proc.stdout and "study" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["-c", "import voimc"], ["-m", "voimc", "--help"]],
+    ids=["import", "help"],
+)
+def test_runtime_imports_no_scipy(command):
+    # scipy is a test dependency only; `-X importtime` lists every module a
+    # fresh interpreter imports, on stderr
+    proc = _fresh_python("-X", "importtime", *command)
+    assert proc.returncode == 0
+    imported = [
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "voimc" in imported
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["study", "--estimator", "evpi-nested", "--subset", "1,1,0"]
+        + ["--budgets", "64", "--reps", "1"],
+        ["estimate", "--estimator", "evpi-coupled", "--subset", "9"]
+        + ["--budget", "64"],
+        ["estimate", "--estimator", "evppi-single", "--subset", "2,2"]
+        + ["--budget", "64"],
+    ],
+    ids=["evpi-repeated", "evpi-out-of-range", "evppi-repeated"],
+)
+def test_bad_subset_exits_two_for_every_estimator(
+    benchmark_model_path, tmp_path, capsys, args
+):
+    # the CSV records the named subset, so it is checked against the model
+    # even where perfect information reveals every coordinate
+    out = tmp_path / "out.csv"
+    code = main(args + ["--model", benchmark_model_path, "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import ndtri
+from scipy.special import ndtr
 
 from voimc import (
     ConfigError,
@@ -16,7 +16,7 @@ from voimc import (
     load_model_config,
     make_gaussian_model,
 )
-from voimc.gaussian import _U_FLOOR, _gaussian_draws, evppi_from_moments
+from voimc.gaussian import _gaussian_draws, evppi_from_moments
 
 from support import TIE_CONFIG, analytic_evpi
 
@@ -66,6 +66,22 @@ class TestNormalFunctions:
         assert value == pytest.approx(
             _density(1.96) - 1.96 * (1.0 - 0.9750021), abs=1.96e-7
         )
+
+    @pytest.mark.parametrize("s", [0.1, 1.0, 7.3])
+    def test_matches_the_scipy_form_it_replaces(self, s):
+        # the earlier closed form took the cdf from scipy's ndtr.  Both forms
+        # subtract a cdf term from the pdf term, so they are compared relative
+        # to the pdf term; in the tails the value is smaller than it by a
+        # factor that grows like (m/s)**2, about 67 at |m/s| = 8
+        for t in np.linspace(-8.0, 8.0, 161):
+            m = t * s
+            z = -m / s
+            pdf_term = _density(z) * s
+            if m > 0.0:
+                scipy_form = pdf_term - float(ndtr(z)) * m
+            else:
+                scipy_form = pdf_term + float(ndtr(-z)) * m
+            assert abs(evppi_from_moments(m, s) - scipy_form) <= 1e-13 * pdf_term
 
     @given(m=st.floats(-8.0, 8.0), s=st.floats(0.01, 10.0))
     @settings(deadline=None, max_examples=80)
@@ -248,41 +264,20 @@ class TestSamplingAccuracy:
         assert values[1] == 0.0
 
 
-class _ZeroFirst:
-    """A generator whose first uniform is forced to 0.0."""
-
-    def __init__(self, gen):
-        self.gen = gen
-
-    def random(self, shape):
-        u = self.gen.random(shape)
-        u[0, 0] = 0.0
-        return u
-
-
 class TestGaussianKernel:
-    """`_gaussian_draws` transforms its uniforms in place."""
+    """`_gaussian_draws` scales and shifts numpy's standard normals in place."""
 
     MEANS = np.array([0.5, -1.25, 3.0])
     STDS = np.array([2.0, 0.1, 7.5])
 
     def _reference(self, gen, size):
-        u = gen.random((size, self.MEANS.shape[0]))
-        return self.MEANS + self.STDS * ndtri(np.maximum(u, _U_FLOOR))
+        z = gen.standard_normal((size, self.MEANS.shape[0]))
+        return self.MEANS + self.STDS * z
 
     @pytest.mark.parametrize("size", [1, 7, 4096])
     def test_bitwise_equal_to_out_of_place_formula(self, size):
         got = _gaussian_draws(RngStream(61).generator(), size, self.MEANS, self.STDS)
         want = self._reference(RngStream(61).generator(), size)
-        assert got.tobytes() == want.tobytes()
-
-    def test_zero_uniform_takes_the_floor(self):
-        got = _gaussian_draws(
-            _ZeroFirst(RngStream(62).generator()), 5, self.MEANS, self.STDS
-        )
-        want = self._reference(_ZeroFirst(RngStream(62).generator()), 5)
-        assert np.isfinite(got).all()
-        assert got[0, 0] == self.MEANS[0] + self.STDS[0] * ndtri(_U_FLOOR)
         assert got.tobytes() == want.tobytes()
 
     def test_result_aliases_no_parameter(self):
@@ -298,3 +293,27 @@ class TestGaussianKernel:
         assert second.tobytes() == self._reference(twin, 4).tobytes()
         assert means.tobytes() == self.MEANS.tobytes()
         assert stds.tobytes() == self.STDS.tobytes()
+
+    @pytest.mark.parametrize("sampler", ["prior", "marginal", "conditional"])
+    def test_rows_do_not_depend_on_chunking(self, sampler):
+        # a stream gives the same rows whether they are drawn in one call or
+        # in several, so a run's bits do not depend on its chunk sizes; every
+        # sampler below draws two-dimensional rows
+        two = GaussianLinearModel(0.2, (1.0, -2.0), (0.5, -1.0), (1.5, 0.25))
+        four = GaussianLinearModel(
+            0.2, (1.0, -2.0, 3.0, 0.5), (0.5, -1.0, 0.0, 2.0), (1.5, 0.25, 2.0, 1.0)
+        )
+        _, prior, _ = make_gaussian_model(two, (1,))
+        _, _, factored = make_gaussian_model(four, (1, 3))
+        draw = {
+            "prior": prior.draw,
+            "marginal": factored.draw_marginal,
+            "conditional": lambda gen, n: factored.draw_conditional(
+                np.zeros((n, 2)), gen, 1
+            ),
+        }[sampler]
+        one_call = draw(RngStream(64).generator(), 1000)
+        assert one_call.shape == (1000, 2)
+        gen = RngStream(64).generator()
+        split = np.concatenate([draw(gen, n) for n in (1, 333, 2, 664)])
+        assert split.tobytes() == one_call.tobytes()
