@@ -8,7 +8,7 @@ library itself (`EstimateResult`, `ConvergenceReport`, `nested_allocation`,
 `fit_slope`, ...) stay importable from their modules."""
 
 from .estimators import evpi_mlmc, evpi_nested, evppi_mlmc, evppi_nested
-from .experiment import ESTIMATOR_NAMES, ExperimentPlan, render_csv, run_plan, write_csv
+from .experiment import ESTIMATOR_NAMES, ExperimentPlan, render_csv, run_plan
 from .gaussian import (
     ConfigError,
     GaussianLinearModel,
@@ -55,5 +55,4 @@ __all__ = [
     "optimal_ratio",
     "render_csv",
     "run_plan",
-    "write_csv",
 ]

@@ -10,6 +10,7 @@ regardless of the worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -45,7 +46,6 @@ __all__ = [
     "run_plan",
     "run_replication",
     "render_csv",
-    "write_csv",
 ]
 
 ESTIMATOR_NAMES = (
@@ -169,44 +169,38 @@ def fit_slope(points) -> float:
     return float(-slope)
 
 
-@dataclass(frozen=True)
-class _ReplicationTask:
-    """Everything one worker needs; picklable so pools can run it anywhere."""
-
-    plan: ExperimentPlan
-    config: GaussianLinearModel
-    subset: tuple[int, ...]
-    budget: int
-    replication: int
-
-
-def run_replication(task: _ReplicationTask) -> ReplicateRecord:
-    """Run one (budget, replication) cell on its own stream.
+def run_replication(
+    plan: ExperimentPlan,
+    config: GaussianLinearModel,
+    subset: tuple[int, ...],
+    budget: int,
+    replication: int,
+) -> ReplicateRecord:
+    """Run one (budget, replication) cell of ``plan`` on its own stream.
 
     Multilevel cells spend their budget through the prefix rule, so a
     replication never costs more than its budget.
     """
-    plan = task.plan
-    model, prior, factored = make_gaussian_model(task.config, task.subset)
-    stream = RngStream(plan.seed).child(task.budget, task.replication)
+    model, prior, factored = make_gaussian_model(config, subset)
+    stream = RngStream(plan.seed).child(budget, replication)
     try:
         if plan.estimator == "evpi-nested":
             result = evpi_nested(
                 model,
                 prior,
-                outer_draws=task.budget,
-                baseline_draws=task.budget,
+                outer_draws=budget,
+                baseline_draws=budget,
                 rng=stream,
             )
         elif plan.estimator == "evppi-nested":
-            inner, outer = nested_allocation(task.budget)
+            inner, outer = nested_allocation(budget)
             result = evppi_nested(
                 model,
                 factored,
                 prior,
                 outer_draws=outer,
                 inner_draws=inner,
-                baseline_draws=task.budget,
+                baseline_draws=budget,
                 rng=stream,
             )
         else:
@@ -217,7 +211,7 @@ def run_replication(task: _ReplicationTask) -> ReplicateRecord:
                     model,
                     prior,
                     dist,
-                    task.budget,
+                    budget,
                     variant,
                     stream,
                     budget_rule="prefix",
@@ -228,16 +222,16 @@ def run_replication(task: _ReplicationTask) -> ReplicateRecord:
                     factored,
                     prior,
                     dist,
-                    task.budget,
+                    budget,
                     variant_y=variant,
                     variant_z=variant,
                     rng=stream,
                     budget_rule="prefix",
                 )
     except BudgetExhaustedError:
-        return ReplicateRecord(task.replication, None, 0, 0)
+        return ReplicateRecord(replication, None, 0, 0)
     return ReplicateRecord(
-        task.replication, result.estimate, result.cost_used, result.n_draws
+        replication, result.estimate, result.cost_used, result.n_draws
     )
 
 
@@ -269,17 +263,16 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     config, subset, truth, named = _resolve_model(plan)
-    tasks = [
-        _ReplicationTask(plan, config, subset, budget, rep)
-        for budget in plan.budgets
-        for rep in range(1, plan.replications + 1)
-    ]
+    cell = functools.partial(run_replication, plan, config, subset)
+    reps = range(1, plan.replications + 1)
+    budgets = [budget for budget in plan.budgets for _ in reps]
+    replications = [rep for _ in plan.budgets for rep in reps]
     if workers == 1:
-        outcomes = [run_replication(task) for task in tasks]
+        outcomes = list(map(cell, budgets, replications))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (8 * workers))
-            outcomes = list(pool.map(run_replication, tasks, chunksize=chunk))
+            chunk = max(1, len(budgets) // (8 * workers))
+            outcomes = list(pool.map(cell, budgets, replications, chunksize=chunk))
 
     records: dict[int, tuple[ReplicateRecord, ...]] = {}
     per_budget: dict[int, BudgetSummary] = {}
@@ -351,9 +344,3 @@ def render_csv(report: ConvergenceReport, plan: ExperimentPlan) -> str:
         lines.append(",".join(map(_fmt, fields + (s.mean, s.rmse))))
     lines.append(f"#SLOPE,{_fmt(report.slope)}")
     return "\n".join(lines) + "\n"
-
-
-def write_csv(report: ConvergenceReport, plan: ExperimentPlan, path) -> None:
-    """Write `render_csv` output to ``path`` with stable newlines."""
-    with open(path, "w", newline="\n") as handle:
-        handle.write(render_csv(report, plan))

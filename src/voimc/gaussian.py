@@ -80,6 +80,10 @@ class GaussianLinearModel:
 
 
 def _validate_subset(config: GaussianLinearModel, revealed) -> tuple[int, ...]:
+    revealed = tuple(revealed)
+    for ix in revealed:
+        if isinstance(ix, bool) or not isinstance(ix, (int, np.integer)):
+            raise ValueError(f"revealed coordinates must be integers, got {ix!r}")
     revealed = tuple(int(ix) for ix in revealed)
     if any(not (1 <= ix <= config.dimension) for ix in revealed):
         raise ValueError(
@@ -229,9 +233,7 @@ def load_model_config(path) -> tuple[GaussianLinearModel, tuple[int, ...] | None
     subset = None
     if "subset" in raw:
         val = raw["subset"]
-        if not isinstance(val, list) or any(
-            not isinstance(ix, int) or isinstance(ix, bool) for ix in val
-        ):
+        if not isinstance(val, list):
             raise ConfigError("'subset' must be an array of integers")
         try:
             subset = _validate_subset(config, val)

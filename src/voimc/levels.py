@@ -47,7 +47,7 @@ class LevelDistribution:
     ratio: float
 
     def __post_init__(self) -> None:
-        if int(self.base) != self.base or self.base < 2:
+        if not isinstance(self.base, (int, np.integer)) or self.base < 2:
             raise ValueError("base must be an integer >= 2")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError("ratio must lie strictly between 0 and 1")

@@ -18,13 +18,18 @@ weakened:
   geometric level law keeps the estimator variance finite; RMSE is then
   outlier-dominated (~budget**-0.25) and the nested estimator's RMSE stays
   below it across this grid.  On a model without the tie (the offset model,
-  w0 = 1) only half of the claim holds: run with this protocol unchanged,
-  evppi-coupled has the lower RMSE at 2**16, but not the steeper RMSE slope.
-  The suite checks only unbiasedness there (test_estimators.py).
+  w0 = 1) the corrections decay fast, and the same protocol, run unchanged,
+  checks both halves of the claim there (the "offset model" checks below):
+  on the current samples evppi-coupled has the lower RMSE at 2**16 and the
+  steeper RMSE slope, the slope by a margin of about 0.001, so one
+  100-replication fit does not settle the rate half.  The nested cost is
+  not matched: its baseline term is priced on top of the budget, and the
+  verdict lines print each estimator's mean cost at 2**16.
 
 See README "Statistical caveats" for the full account.
 """
 
+import json
 import math
 
 import numpy as np
@@ -46,6 +51,7 @@ from voimc import (
 from voimc.cli import main as cli_main
 
 from support import (
+    OFFSET_CONFIG,
     TIE_CONFIG,
     analytic_evpi,
     budget_rule_mean,
@@ -323,8 +329,6 @@ def study_reports(benchmark_model_path_module):
 
 @pytest.fixture(scope="module")
 def benchmark_model_path_module(tmp_path_factory):
-    import json
-
     path = tmp_path_factory.mktemp("acceptance") / "benchmark.json"
     path.write_text(
         json.dumps(
@@ -408,6 +412,65 @@ def test_criterion_07c_rmse_dominance_at_top_budget(study_reports):
         f"required coupled < nested"
     )
     line = _verdict("criterion 7c: RMSE dominance at top budget", ok, detail)
+    assert ok, line
+
+
+@pytest.fixture(scope="module")
+def offset_reports(tmp_path_factory):
+    """Criteria 7b's and 7c's protocol, unchanged, on the offset model."""
+    path = tmp_path_factory.mktemp("acceptance") / "offset.json"
+    path.write_text(
+        json.dumps(
+            {
+                "s": OFFSET_CONFIG.dimension,
+                "w0": OFFSET_CONFIG.intercept,
+                "w": list(OFFSET_CONFIG.weights),
+                "mu": list(OFFSET_CONFIG.means),
+                "sigma": list(OFFSET_CONFIG.stds),
+                "subset": [1, 2],
+            }
+        )
+    )
+    reports = {}
+    for est in ("evppi-nested", "evppi-coupled"):
+        plan = ExperimentPlan(est, GRID, 100, str(path), subset=(1, 2), seed=1107)
+        reports[est] = run_plan(plan)
+    return reports
+
+
+def _mean_costs(reports) -> str:
+    """Each estimator's mean cost_used at 2**16: nested pays its baseline
+    term on top of the budget, the multilevel runs stay within it."""
+    return ", ".join(
+        f"{est} {np.mean([r.cost_used for r in report.records[2**16]]):.1f}"
+        for est, report in reports.items()
+    )
+
+
+def test_criterion_07b_offset_model_rate_deficit(offset_reports):
+    nested = offset_reports["evppi-nested"].slope
+    mlmc = offset_reports["evppi-coupled"].slope
+    ok = nested <= mlmc - 0.1
+    detail = (
+        f"evppi-nested slope = {nested:.4f}, evppi-coupled slope = {mlmc:.4f}; "
+        f"required nested <= coupled - 0.1; mean cost_used at 2^16: "
+        f"{_mean_costs(offset_reports)}"
+    )
+    line = _verdict("criterion 7b, offset model: nested rate deficit", ok, detail)
+    assert ok, line
+
+
+def test_criterion_07c_offset_model_rmse_dominance(offset_reports):
+    nested = offset_reports["evppi-nested"].per_budget[2**16].rmse
+    mlmc = offset_reports["evppi-coupled"].per_budget[2**16].rmse
+    ok = mlmc < nested
+    detail = (
+        f"RMSE at 2^16: evppi-coupled = {mlmc:.4f}, evppi-nested = {nested:.4f}; "
+        f"required coupled < nested; mean cost_used at 2^16: "
+        f"{_mean_costs(offset_reports)}"
+    )
+    tag = "criterion 7c, offset model: RMSE dominance at top budget"
+    line = _verdict(tag, ok, detail)
     assert ok, line
 
 

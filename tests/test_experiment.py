@@ -12,8 +12,8 @@ from voimc import (
     analytic_evppi,
     render_csv,
     run_plan,
-    write_csv,
 )
+from voimc.cli import main as cli_main
 from voimc.experiment import fit_slope, summarize
 
 from support import TIE_CONFIG
@@ -115,6 +115,20 @@ class TestPlanValidation:
         )
         plan = ExperimentPlan("evppi-coupled", (64,), 2, str(path))
         with pytest.raises(ValueError, match="subset"):
+            run_plan(plan)
+
+    @pytest.mark.parametrize("subset", [(1.5, 2), (True, 2)])
+    def test_non_integer_subset_refused_before_any_replication(
+        self, benchmark_model_path, monkeypatch, subset
+    ):
+        def never(*_args, **_kwargs):
+            pytest.fail("ran a replication of a plan with a bad subset")
+
+        monkeypatch.setattr("voimc.experiment.run_replication", never)
+        plan = ExperimentPlan(
+            "evppi-single", (64,), 1, benchmark_model_path, subset=subset
+        )
+        with pytest.raises(ValueError, match="must be integers"):
             run_plan(plan)
 
 
@@ -240,10 +254,14 @@ class TestCsvOutput:
         )
 
     def test_layout(self, benchmark_model_path, tmp_path):
+        # the file `voimc study --out` writes holds exactly render_csv's bytes
         plan = self._plan(benchmark_model_path)
         report = run_plan(plan)
         out = tmp_path / "report.csv"
-        write_csv(report, plan, out)
+        args = ["study", "--estimator", "evppi-coupled", "--model", benchmark_model_path]
+        args += ["--subset", "1,2", "--budgets", "64,256", "--reps", "5", "--seed", "33"]
+        assert cli_main(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == render_csv(report, plan).encode()
         lines = out.read_text().splitlines()
         header_ix = lines.index(
             "estimator,budget,replication,estimate,truth,cost_used,n_draws"

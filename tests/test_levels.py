@@ -65,6 +65,9 @@ class TestLevelDistribution:
             LevelDistribution(2, 0.5)
         with pytest.raises(ValueError):
             LevelDistribution(3, 0.4)
+        # a float base is refused even when integral: the level fold needs an int
+        with pytest.raises(ValueError, match="base"):
+            LevelDistribution(2.0, 0.3)
 
     def test_level_arguments_validated(self):
         dist = LevelDistribution(2, 0.25)

@@ -173,3 +173,8 @@ class TestSamplers:
             make_gaussian_model(TIE_CONFIG, (1, 6))
         with pytest.raises(ValueError):
             make_gaussian_model(TIE_CONFIG, (2, 2))
+        # entries are refused, not truncated by int()
+        with pytest.raises(ValueError, match="1.5"):
+            make_gaussian_model(TIE_CONFIG, (1.5, 2))
+        with pytest.raises(ValueError, match="True"):
+            make_gaussian_model(TIE_CONFIG, (True, 2))

@@ -1,8 +1,8 @@
-"""The public names the benchmark, the scripts and the README use stay exported.
+"""The public names the benchmark and the README use stay exported.
 
-`bench/` and `scripts/` import the library only through ``voimc``, and the
-README's python blocks show it the same way; a name they use that drops out
-of ``voimc.__all__`` breaks them without failing any library test, so this
+`bench/` imports the library only through ``voimc``, and the README's python
+blocks show it the same way; a name they use that drops out of
+``voimc.__all__`` breaks them without failing any library test, so this
 module checks their sources statically.
 """
 
@@ -15,9 +15,7 @@ import pytest
 import voimc
 
 ROOT = Path(__file__).resolve().parent.parent
-CLIENT_SOURCES = sorted(
-    [*(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
-)
+CLIENT_SOURCES = sorted((ROOT / "bench").glob("*.py"))
 
 README_BLOCKS = re.findall(
     r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S
@@ -40,7 +38,7 @@ def _voimc_names(source: str) -> set[str]:
 
 
 def test_client_sources_found():
-    assert {p.parent.name for p in CLIENT_SOURCES} == {"bench", "scripts"}
+    assert {p.parent.name for p in CLIENT_SOURCES} == {"bench"}
 
 
 @pytest.mark.parametrize(
