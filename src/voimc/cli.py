@@ -7,7 +7,7 @@ leaves no new file), 3 when every replication of a budget ran out before
 its first draw.
 
 The CSV records the revealed subset as ``#CONFIG,subset``: ``--subset`` if
-given, otherwise the model file's ``subset``.
+given, otherwise the model file's ``subset``, in increasing order.
 """
 
 from __future__ import annotations

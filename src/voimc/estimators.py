@@ -53,9 +53,10 @@ __all__ = [
 _VARIANTS = ("single", "coupled")
 _BUDGET_RULES = ("expected", "prefix")
 
-# Largest block of samples one multilevel draw may allocate: base**level rows
-# of the full parameter vector in float64.  Levels are uncapped under the
-# expected-cost rule, so a larger draw is refused before it is sampled.
+# Largest block of samples one draw may allocate: base**level rows of the full
+# parameter vector in float64 for a multilevel draw, inner rows for a nested
+# one.  Levels are uncapped under the expected-cost rule, so a larger draw is
+# refused before it is sampled.
 _MAX_DRAW_BYTES = 2**30
 
 # Most payoff rows per part that one `_run` chunk stacks into a payoff call.
@@ -244,6 +245,17 @@ def _conditional_rows(factored: FactoredSampler) -> _Rows:
     return rows
 
 
+def _check_draw(draw: str, rows: int, dimension: int) -> None:
+    """Refuse, before any sampling, a draw of more than ``_MAX_DRAW_BYTES``."""
+    needed = rows * dimension * 8
+    if needed > _MAX_DRAW_BYTES:
+        raise MemoryError(
+            f"{draw} needs {rows} samples of {dimension} coordinates ({needed} "
+            f"bytes), above the per-draw bound of {_MAX_DRAW_BYTES} bytes; no "
+            "samples were drawn"
+        )
+
+
 def _chunks(count: int, rows: int, max_rows: int) -> Iterator[int]:
     """Sizes of the chunks that ``count`` draws of ``rows`` rows each take:
     whole draws, at most ``max_rows`` rows (one draw if a single draw is
@@ -320,6 +332,7 @@ def _nested(
     joined before this returns or raises; an error of the outer term stops it
     at its next chunk and wins, as it would if the outer term ran first.
     """
+    _check_draw("an outer draw", inner, model.dimension)
     baseline_gen = rng.child(1).generator()
     gens = [rng.child(k).generator() for k in streams]
     stop = threading.Event()
@@ -384,7 +397,9 @@ def evppi_nested(
     decision of an ``inner_draws``-sample conditional mean, averages those
     bests, and subtracts the baseline term of `evpi_nested`, evaluated
     concurrently as there.  Both terms carry finite-sample Jensen bias.
-    Cost: outer_draws*inner_draws + baseline_draws.
+    Cost: outer_draws*inner_draws + baseline_draws.  Raises MemoryError before
+    sampling when one outer draw's inner rows would need more than 2**30
+    bytes (inner_draws * dimension * 8).
     """
     if outer_draws < 1 or inner_draws < 1 or baseline_draws < 1:
         raise ValueError("all draw counts must be >= 1")
@@ -451,13 +466,7 @@ def _run(
             f"budget_rule must be one of {_BUDGET_RULES}, got {budget_rule!r}"
         )
     deepest = counts.shape[0] - 1
-    needed = dist.cost(deepest) * model.dimension * 8
-    if needed > _MAX_DRAW_BYTES:
-        raise MemoryError(
-            f"a level-{deepest} draw needs {dist.base}**{deepest} samples of "
-            f"{model.dimension} coordinates ({needed} bytes), above the per-draw "
-            f"bound of {_MAX_DRAW_BYTES} bytes; no samples were drawn"
-        )
+    _check_draw(f"a level-{deepest} draw", dist.cost(deepest), model.dimension)
     moments = _RunningMoments()
     per_level: dict[int, _RunningMoments] = {}
     for level in np.flatnonzero(counts).tolist():

@@ -33,6 +33,7 @@ from .gaussian import (
     make_gaussian_model,
 )
 from .levels import BudgetExhaustedError, LevelDistribution, optimal_ratio
+from .model import _is_int
 from .rng import RngStream
 
 __all__ = [
@@ -78,14 +79,18 @@ class ExperimentPlan:
             )
         if len(self.budgets) == 0:
             raise ValueError("at least one budget is required")
+        if not all(map(_is_int, self.budgets)):
+            raise ValueError(f"budgets must be integers, got {self.budgets}")
         if any(b <= a for a, b in zip(self.budgets, self.budgets[1:])):
             raise ValueError("budgets must be strictly increasing")
         if self.budgets[0] < 1:
             raise ValueError("budgets must be positive")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if not _is_int(self.replications) or self.replications < 1:
+            raise ValueError(
+                f"replications must be an integer >= 1, got {self.replications!r}"
+            )
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         # checked for every estimator, so a bad level law fails before any
         # worker starts or any CSV is written
         LevelDistribution(self.base, self.level_ratio)
@@ -237,12 +242,13 @@ def run_replication(
 
 def _resolve_model(plan: ExperimentPlan):
     """Model config, the subset the run reveals, its truth, and the subset to
-    record: ``plan.subset`` if given, else the model file's.  A named subset
-    must fit the model for every estimator, since the CSV records it."""
+    record: ``plan.subset`` if given, else the model file's, in increasing
+    order.  A named subset must fit the model for every estimator, since the
+    CSV records it."""
     config, file_subset = load_model_config(plan.model_config)
     named = plan.subset if plan.subset is not None else file_subset
     if named is not None:
-        _validate_subset(config, named)
+        named = _validate_subset(config, named)
     if not plan.needs_subset:
         subset = range(1, config.dimension + 1)  # perfect information
     elif named:

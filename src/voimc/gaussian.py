@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import DecisionModel, FactoredSampler, PriorSampler
+from .model import DecisionModel, FactoredSampler, PriorSampler, _coordinates
 
 __all__ = [
     "GaussianLinearModel",
@@ -80,18 +80,7 @@ class GaussianLinearModel:
 
 
 def _validate_subset(config: GaussianLinearModel, revealed) -> tuple[int, ...]:
-    revealed = tuple(revealed)
-    for ix in revealed:
-        if isinstance(ix, bool) or not isinstance(ix, (int, np.integer)):
-            raise ValueError(f"revealed coordinates must be integers, got {ix!r}")
-    revealed = tuple(int(ix) for ix in revealed)
-    if any(not (1 <= ix <= config.dimension) for ix in revealed):
-        raise ValueError(
-            f"revealed coordinates must lie in 1..{config.dimension}, got {revealed}"
-        )
-    if len(set(revealed)) != len(revealed):
-        raise ValueError("revealed coordinates must be unique")
-    return tuple(sorted(revealed))
+    return tuple(sorted(_coordinates(config.dimension, revealed)))
 
 
 def _gaussian_draws(rng, size, means, stds):

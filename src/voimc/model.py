@@ -36,6 +36,35 @@ class PayoffEvaluationError(ValueError):
     """A payoff evaluated to a non-finite value."""
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer (bools are not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _coordinates(dimension: int, revealed) -> tuple[int, ...]:
+    """``revealed`` as distinct integer coordinates in 1..dimension, in order."""
+    revealed = tuple(revealed)
+    for ix in revealed:
+        if not _is_int(ix):
+            raise ValueError(f"revealed coordinates must be integers, got {ix!r}")
+    revealed = tuple(int(ix) for ix in revealed)
+    if any(not (1 <= ix <= dimension) for ix in revealed):
+        raise ValueError(
+            f"revealed coordinates must lie in 1..{dimension}, got {revealed}"
+        )
+    if len(set(revealed)) != len(revealed):
+        raise ValueError("revealed coordinates must be unique")
+    return revealed
+
+
+def _checked(out, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A callback's ``out`` as float64; ValueError naming ``what`` if not ``shape``."""
+    out = np.asarray(out, dtype=np.float64)
+    if out.shape != shape:
+        raise ValueError(f"{what} returned shape {out.shape}, expected {shape}")
+    return out
+
+
 @dataclass(frozen=True)
 class DecisionModel:
     """A finite decision set with a vectorized payoff.
@@ -74,12 +103,7 @@ class DecisionModel:
             raise ValueError(
                 f"expected samples of shape (n, {self.dimension}), got {xs.shape}"
             )
-        out = np.asarray(self.payoff(xs), dtype=np.float64)
-        if out.shape != (xs.shape[0], self.n_decisions):
-            raise ValueError(
-                f"payoff returned shape {out.shape}, expected "
-                f"{(xs.shape[0], self.n_decisions)}"
-            )
+        out = _checked(self.payoff(xs), (xs.shape[0], self.n_decisions), "payoff")
         if not np.isfinite(out).all():
             i, j = np.argwhere(~np.isfinite(out))[0]
             raise PayoffEvaluationError(
@@ -101,13 +125,9 @@ class PriorSampler:
     draw_fn: Callable[[np.random.Generator, int], np.ndarray]
 
     def draw(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        out = np.asarray(self.draw_fn(rng, int(size)), dtype=np.float64)
-        if out.shape != (size, self.dimension):
-            raise ValueError(
-                f"prior sampler returned shape {out.shape}, expected "
-                f"{(size, self.dimension)}"
-            )
-        return out
+        size = int(size)
+        out = self.draw_fn(rng, size)
+        return _checked(out, (size, self.dimension), "prior sampler")
 
 
 @dataclass(frozen=True)
@@ -115,7 +135,9 @@ class FactoredSampler:
     """Marginal / conditional factorization of the parameter vector.
 
     ``revealed`` lists the 1-based coordinates of the revealed block; the
-    hidden block is its complement.  Composing ``draw_marginal`` with
+    hidden block is its complement.  Column k of a revealed block is
+    coordinate ``revealed[k]``, and the hidden columns are the other
+    coordinates in increasing order.  Composing ``draw_marginal`` with
     ``draw_conditional`` must reproduce the joint prior law.
 
     ``conditional_fn(revealed, rng, size)`` takes an (n, n_revealed) block
@@ -129,14 +151,9 @@ class FactoredSampler:
     conditional_fn: Callable[[np.ndarray, np.random.Generator, int], np.ndarray]
 
     def __post_init__(self) -> None:
-        if any(not (1 <= ix <= self.dimension) for ix in self.revealed):
-            raise ValueError(
-                f"revealed coordinates must lie in 1..{self.dimension}, "
-                f"got {self.revealed}"
-            )
-        if len(set(self.revealed)) != len(self.revealed):
-            raise ValueError("revealed coordinates must be unique")
-        r_idx = np.asarray(sorted(ix - 1 for ix in self.revealed), dtype=np.intp)
+        revealed = _coordinates(self.dimension, self.revealed)
+        object.__setattr__(self, "revealed", revealed)
+        r_idx = np.asarray([ix - 1 for ix in revealed], dtype=np.intp)
         h_idx = np.setdiff1d(np.arange(self.dimension, dtype=np.intp), r_idx)
         object.__setattr__(self, "_revealed_idx", r_idx)
         object.__setattr__(self, "_hidden_idx", h_idx)
@@ -150,13 +167,9 @@ class FactoredSampler:
         return self.dimension - len(self.revealed)
 
     def draw_marginal(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        out = np.asarray(self.marginal_fn(rng, int(size)), dtype=np.float64)
-        if out.shape != (size, self.n_revealed):
-            raise ValueError(
-                f"marginal sampler returned shape {out.shape}, expected "
-                f"{(size, self.n_revealed)}"
-            )
-        return out
+        size = int(size)
+        out = self.marginal_fn(rng, size)
+        return _checked(out, (size, self.n_revealed), "marginal sampler")
 
     def draw_conditional(
         self, revealed_values: np.ndarray, rng: np.random.Generator, size: int = 1
@@ -169,15 +182,10 @@ class FactoredSampler:
                 f"expected a revealed block of shape (n, {self.n_revealed}), "
                 f"got {revealed_values.shape}"
             )
-        out = np.asarray(
-            self.conditional_fn(revealed_values, rng, int(size)), dtype=np.float64
-        )
-        expected = (revealed_values.shape[0] * size, self.n_hidden)
-        if out.shape != expected:
-            raise ValueError(
-                f"conditional sampler returned shape {out.shape}, expected {expected}"
-            )
-        return out
+        size = int(size)
+        out = self.conditional_fn(revealed_values, rng, size)
+        shape = (revealed_values.shape[0] * size, self.n_hidden)
+        return _checked(out, shape, "conditional sampler")
 
     def combine(
         self, revealed_values: np.ndarray, hidden_samples: np.ndarray

@@ -312,6 +312,17 @@ def test_study_deterministic_bytes_across_workers(benchmark_model_path, tmp_path
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_study_subset_order_does_not_change_bytes(benchmark_model_path, tmp_path):
+    # the revealed subset is a set: it runs and is recorded in increasing order
+    base = ["study", "--estimator", "evppi-single", "--model", benchmark_model_path]
+    base += ["--budgets", "64,256", "--reps", "3", "--seed", "5"]
+    paths = [tmp_path / "12.csv", tmp_path / "21.csv"]
+    assert main(base + ["--subset", "1,2", "--out", str(paths[0])]) == 0
+    assert main(base + ["--subset", "2,1", "--out", str(paths[1])]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert "#CONFIG,subset,1|2\n" in paths[1].read_text()
+
+
 def _fresh_python(*args):
     """Run a fresh interpreter with this checkout's ``src`` on its path."""
     env = dict(os.environ)

@@ -269,6 +269,20 @@ class TestNestedEstimators:
         b = evpi_nested(model, prior, outer_draws=200, baseline_draws=100, rng=RngStream(10))
         assert a == b
 
+    def test_oversized_nested_draw_refused_before_sampling(self, tie_setup):
+        model, prior, _ = tie_setup
+
+        def never(*_args):
+            pytest.fail("sampled a nested draw above the per-draw memory bound")
+
+        factored = FactoredSampler(5, (1,), never, never)
+        # one outer draw of 2**25 inner rows: 2**25 * 5 * 8 bytes > 2**30
+        with pytest.raises(MemoryError, match="per-draw bound"):
+            evppi_nested(
+                model, factored, prior, outer_draws=1, inner_draws=2**25,
+                baseline_draws=1, rng=RngStream(0),
+            )
+
 
 def _nested_calls(model, prior, factored, **kwargs):
     """(library call, serial reference) for `evpi_nested` when ``factored`` is

@@ -117,19 +117,31 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="subset"):
             run_plan(plan)
 
-    @pytest.mark.parametrize("subset", [(1.5, 2), (True, 2)])
-    def test_non_integer_subset_refused_before_any_replication(
-        self, benchmark_model_path, monkeypatch, subset
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"subset": (1.5, 2)},
+            {"subset": (True, 2)},
+            {"budgets": (64.0,)},
+            {"budgets": (64, 128.5)},
+            {"replications": 1.5},
+            {"replications": True},
+            {"seed": 1.5},
+        ],
+        ids=repr,
+    )
+    def test_non_integer_field_refused_before_any_replication(
+        self, benchmark_model_path, monkeypatch, field
     ):
         def never(*_args, **_kwargs):
-            pytest.fail("ran a replication of a plan with a bad subset")
+            pytest.fail("ran a replication of a plan with a non-integer field")
 
         monkeypatch.setattr("voimc.experiment.run_replication", never)
-        plan = ExperimentPlan(
-            "evppi-single", (64,), 1, benchmark_model_path, subset=subset
-        )
-        with pytest.raises(ValueError, match="must be integers"):
-            run_plan(plan)
+        fields = {"budgets": (64,), "replications": 1, **field}
+        with pytest.raises(ValueError, match="integer"):
+            run_plan(
+                ExperimentPlan("evppi-single", model_config=benchmark_model_path, **fields)
+            )
 
 
 class TestRunPlan:

@@ -3,6 +3,7 @@ import pytest
 
 from voimc import (
     DecisionModel,
+    FactoredSampler,
     GaussianLinearModel,
     PayoffEvaluationError,
     RngStream,
@@ -121,6 +122,33 @@ class TestSamplers:
         _, _, factored = tie_model
         out = factored.combine(np.array([[10.0, 20.0]]), np.array([[1.0, 2.0, 3.0]]))
         assert out.tolist() == [[10.0, 20.0, 1.0, 2.0, 3.0]]
+
+    def test_combine_follows_declared_order(self):
+        # column k of a revealed block is coordinate revealed[k]; the hidden
+        # columns are the other coordinates in increasing order
+        factored = FactoredSampler(
+            dimension=3,
+            revealed=(3, 1),
+            marginal_fn=lambda _rng, size: np.tile([30.0, 10.0], (size, 1)),
+            conditional_fn=lambda x1, _rng, size: np.full((len(x1) * size, 1), 20.0),
+        )
+        assert factored.revealed == (3, 1)
+        revealed = factored.draw_marginal(RngStream(0).generator(), 1)
+        hidden = factored.draw_conditional(revealed, RngStream(1).generator(), 2)
+        out = factored.combine(revealed, hidden)
+        assert out.tolist() == [[10.0, 20.0, 30.0]] * 2
+
+    @pytest.mark.parametrize(
+        "revealed", [(0,), (4,), (2, 2), (1.5,), (True,)], ids=repr
+    )
+    def test_factored_sampler_refuses_bad_revealed(self, revealed):
+        with pytest.raises(ValueError, match="revealed coordinates must"):
+            FactoredSampler(
+                dimension=3,
+                revealed=revealed,
+                marginal_fn=lambda _rng, size: np.zeros((size, 1)),
+                conditional_fn=lambda x1, _rng, size: np.zeros((len(x1) * size, 2)),
+            )
 
     def test_block_of_revealed_rows(self, tie_model):
         # an (n, n_revealed) block gets `size` hidden rows per revealed row,
