@@ -24,6 +24,16 @@ level; the draws of one level are sampled from one stream per kind of
 sample and evaluated in chunks, stacked into one payoff call and one
 `_terms` fold per part and chunk.  The fold reduces each draw on its own, so
 every term has the bits it would have alone, whatever the chunk size.
+
+The best decision is taken by ``_best``, one ``np.maximum`` per decision
+column, in `_terms` and in the outer term of the nested estimators.  A max
+of finite values returns one of its operands unchanged, so it rounds
+nothing and its value does not depend on the order of comparison; only a
+tie between 0.0 and -0.0 can pick either zero.  ``_best`` then returns the
+later column's zero.  numpy's own reduction over the decision axis (numpy
+2.4.6) returns the same bits for up to 8 decisions, but from 9 on its
+vector loop may return the other zero.  The two zeros compare equal, so the estimates agree
+in value either way.
 """
 
 from __future__ import annotations
@@ -157,11 +167,23 @@ def _fold_blocks(values: np.ndarray, width: int) -> np.ndarray:
     exactness guarantees in the module docstring depend on that.
     """
     grouped = values.reshape(values.shape[0], -1, width, *values.shape[2:])
-    acc = grouped[:, :, 0].copy()
-    for i in range(1, width):
+    acc = grouped[:, :, 0] + grouped[:, :, 1]  # width >= 2: base >= 2
+    for i in range(2, width):
         acc += grouped[:, :, i]
     acc /= width
     return acc
+
+
+def _best(payoffs: np.ndarray) -> np.ndarray:
+    """Max over the last (decision) axis, taken one column at a time.
+
+    Equal in value to numpy's max reduction over that axis, which is far
+    slower over a narrow trailing axis; see the module docstring for ties.
+    """
+    best = payoffs[..., 0]
+    for j in range(1, payoffs.shape[-1]):
+        best = np.maximum(best, payoffs[..., j])
+    return best
 
 
 def _terms(
@@ -188,7 +210,7 @@ def _terms(
     for j in range(level + 1):
         if j:
             payoffs = _fold_blocks(payoffs, base)  # block means at size base**j
-        best = payoffs.max(axis=2)
+        best = _best(payoffs)
         while best.shape[1] > 1:
             best = _fold_blocks(best, base)
         tree.append(best[:, 0])
@@ -344,7 +366,7 @@ def _nested(
         try:
             for n in _chunks(outer, inner, _NESTED_CHUNK):
                 payoffs = model.payoff_matrix(rows(*gens, n, inner))
-                moments.add_many(payoffs.reshape(n, inner, -1).mean(axis=1).max(axis=1))
+                moments.add_many(_best(payoffs.reshape(n, inner, -1).mean(axis=1)))
         except BaseException:
             stop.set()
             raise

@@ -11,6 +11,7 @@ estimators rely on that (the prefix rule is `prefix_level_counts` below).
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -49,8 +50,10 @@ class LevelDistribution:
     def __post_init__(self) -> None:
         if not isinstance(self.base, (int, np.integer)) or self.base < 2:
             raise ValueError("base must be an integer >= 2")
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError("ratio must lie strictly between 0 and 1")
+        if not isinstance(self.ratio, numbers.Real) or not 0.0 < self.ratio < 1.0:
+            raise ValueError(
+                f"ratio must be a number strictly between 0 and 1, got {self.ratio!r}"
+            )
         if self.ratio * self.base >= 1.0:
             raise ValueError(
                 "ratio must be < 1/base so one draw has finite expected cost"

@@ -41,6 +41,12 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_dimension(dimension) -> None:
+    """ValueError unless ``dimension`` is an integer >= 1."""
+    if not _is_int(dimension) or dimension < 1:
+        raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
+
+
 def _coordinates(dimension: int, revealed) -> tuple[int, ...]:
     """``revealed`` as distinct integer coordinates in 1..dimension, in order."""
     revealed = tuple(revealed)
@@ -85,8 +91,7 @@ class DecisionModel:
             raise ValueError("decision set must be non-empty")
         if len(set(self.decisions)) != len(self.decisions):
             raise ValueError("decision labels must be unique")
-        if self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
+        _check_dimension(self.dimension)
 
     @property
     def n_decisions(self) -> int:
@@ -124,6 +129,9 @@ class PriorSampler:
     dimension: int
     draw_fn: Callable[[np.random.Generator, int], np.ndarray]
 
+    def __post_init__(self) -> None:
+        _check_dimension(self.dimension)
+
     def draw(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         size = int(size)
         out = self.draw_fn(rng, size)
@@ -151,6 +159,7 @@ class FactoredSampler:
     conditional_fn: Callable[[np.ndarray, np.random.Generator, int], np.ndarray]
 
     def __post_init__(self) -> None:
+        _check_dimension(self.dimension)
         revealed = _coordinates(self.dimension, self.revealed)
         object.__setattr__(self, "revealed", revealed)
         r_idx = np.asarray([ix - 1 for ix in revealed], dtype=np.intp)

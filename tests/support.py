@@ -50,6 +50,18 @@ def single_decision_model(dimension: int = 5) -> DecisionModel:
     )
 
 
+def three_decision_model(dimension: int = 5) -> DecisionModel:
+    """Three decisions: the coordinate sum, nothing, and 0.5 minus the first
+    coordinate."""
+    return DecisionModel(
+        decisions=("sum", "none", "hedge"),
+        payoff=lambda xs: np.column_stack(
+            (xs.sum(axis=1), np.zeros(len(xs)), 0.5 - xs[:, 0])
+        ),
+        dimension=dimension,
+    )
+
+
 def constant_model(values=(3.0, 1.0), dimension: int = 5) -> DecisionModel:
     """Payoffs that ignore the parameter vector entirely."""
     values = tuple(float(v) for v in values)

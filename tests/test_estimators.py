@@ -33,6 +33,7 @@ from voimc.estimators import (
     _accumulate_best_means,
     _freeze_levels,
     _RunningMoments,
+    _best,
     _terms,
     nested_allocation,
 )
@@ -54,6 +55,7 @@ from support import (
     prior_term,
     serial_nested,
     single_decision_model,
+    three_decision_model,
     weighted_level_mean,
 )
 
@@ -311,13 +313,16 @@ class TestConcurrentBaseline:
 
     @pytest.mark.parametrize("evppi", [False, True], ids=["evpi", "evppi"])
     @pytest.mark.parametrize("outer, baseline", [(200, 333), (64, 128), (1, 65), (130, 1)])
+    @pytest.mark.parametrize("decisions", [2, 3], ids=["tie", "three-decision"])
     def test_bits_match_serial_reference(
-        self, tie_setup, monkeypatch, evppi, outer, baseline
+        self, tie_setup, monkeypatch, evppi, outer, baseline, decisions
     ):
         # a 64-row chunk makes both terms span several chunks, most of them
         # ending on a partial one
         monkeypatch.setattr(estimators, "_NESTED_CHUNK", 64)
         model, prior, factored = tie_setup
+        if decisions == 3:
+            model = three_decision_model()
         run, serial = _nested_calls(
             model, prior, factored if evppi else None,
             outer_draws=outer, baseline_draws=baseline, rng=RngStream(41, (outer,)),
@@ -571,6 +576,40 @@ def stacked_payoffs(draw):
         if draw(st.booleans()):
             payoffs[:, :, d] = draw(st.sampled_from([0.0, 0.1, -2.7, 3.0]))
     return base, level, payoffs
+
+
+class TestBest:
+    """`_best` is the max over the decision axis, one column at a time."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("rows", [(3,), (64,), (5, 8), (4, 33)], ids=str)
+    def test_matches_numpy_max_bitwise_up_to_eight_decisions(self, rows, k):
+        gen = np.random.default_rng(k)
+        for payoffs in (
+            # a few values, so most rows tie exactly, 0.0 against -0.0 too
+            gen.choice([-1.5, -0.0, 0.0, 0.0, 2.0], size=(*rows, k)),
+            gen.normal(size=(*rows, k)),
+        ):
+            got = _best(payoffs)
+            assert got.tobytes() == payoffs.max(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 12, 17])
+    def test_matches_numpy_max_bitwise_without_negative_zero(self, k):
+        gen = np.random.default_rng(100 + k)
+        # rounded payoffs tie exactly; + 0.0 turns -0.0 into 0.0
+        payoffs = np.round(gen.normal(size=(4, 33, k)) * 2) + 0.0
+        assert _best(payoffs).tobytes() == payoffs.max(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("k", [2, 9, 12])
+    def test_signed_zero_tie_returns_later_column(self, k):
+        # the one choice a max makes: on a 0.0 / -0.0 tie the later column's
+        # zero is returned, whatever the number of decisions (numpy's own
+        # reduction may return either zero from 9 decisions on)
+        payoffs = np.zeros((2, 40, k))
+        payoffs[0, :, -1] = -0.0
+        payoffs[1, :, 0] = -0.0
+        got = _best(payoffs)
+        assert np.signbit(got[0]).all() and not np.signbit(got[1]).any()
 
 
 class TestTermsRowIndependence:

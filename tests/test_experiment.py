@@ -106,6 +106,10 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="base"):
             ExperimentPlan(estimator, (256,), 1, benchmark_model_path, base=1)
 
+    def test_non_number_ratio_refused(self, benchmark_model_path):
+        with pytest.raises(ValueError, match="ratio must be a number"):
+            ExperimentPlan("evpi-coupled", (64,), 1, benchmark_model_path, ratio="0.3")
+
     def test_evppi_requires_subset(self, tmp_path):
         import json
 

@@ -69,6 +69,11 @@ class TestLevelDistribution:
         with pytest.raises(ValueError, match="base"):
             LevelDistribution(2.0, 0.3)
 
+    @pytest.mark.parametrize("ratio", ["0.3", None, 0.3j, [0.3]], ids=repr)
+    def test_non_number_ratio_refused(self, ratio):
+        with pytest.raises(ValueError, match="ratio must be a number"):
+            LevelDistribution(2, ratio)
+
     def test_level_arguments_validated(self):
         dist = LevelDistribution(2, 0.25)
         with pytest.raises(ValueError):

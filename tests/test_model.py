@@ -6,6 +6,7 @@ from voimc import (
     FactoredSampler,
     GaussianLinearModel,
     PayoffEvaluationError,
+    PriorSampler,
     RngStream,
     make_gaussian_model,
 )
@@ -72,6 +73,30 @@ class TestDecisionModelValidation:
         )
         with pytest.raises(ValueError):
             model.payoff_matrix(np.zeros((4, 2)))
+
+
+# one builder per class that declares a dimension, taking only that dimension
+_BUILDERS = {
+    "DecisionModel": lambda d: DecisionModel(("a",), lambda xs: xs[:, :1], d),
+    "PriorSampler": lambda d: PriorSampler(d, lambda _rng, size: np.zeros((size, 1))),
+    "FactoredSampler": lambda d: FactoredSampler(
+        d, (), lambda _rng, size: np.zeros((size, 0)),
+        lambda x1, _rng, size: np.zeros((len(x1) * size, 1)),
+    ),
+}
+
+
+class TestDimensionValidation:
+    @pytest.mark.parametrize("dimension", [2.5, 2.0, 0, -1, True, "3"], ids=repr)
+    @pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS.keys())
+    def test_bad_dimension_refused_at_construction(self, build, dimension):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            build(dimension)
+
+    @pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS.keys())
+    def test_integer_dimensions_accepted(self, build):
+        assert build(1).dimension == 1
+        assert build(np.int64(3)).dimension == 3
 
 
 class TestSamplers:
