@@ -13,17 +13,17 @@ with compensating probability weights, so each draw is an unbiased reading of
 the whole telescope.
 
 Numerical layout: every block mean is produced by ``_fold_blocks``, a
-fixed-grouping sequential fold, and the same fold also averages the
-best-of-block values across blocks.  Because inner and outer averages share
-one reduction tree, models with a single decision or with constant payoffs
-cancel to exactly 0.0, the unweighted bracket of a level correction is
-non-negative for every realization (not merely in expectation), and the
-level-1 single/coupled coupling identity holds to the bit.  Tests rely on all
-three properties.  A multilevel run needs only how many draws land on each
-level; the draws of one level are sampled from one stream per kind of
-sample and evaluated in chunks, stacked into one payoff call and one
-`_terms` fold per part and chunk.  The fold reduces each draw on its own, so
-every term has the bits it would have alone, whatever the chunk size.
+fixed-grouping sequential fold, and `_terms` builds each term from gaps
+whose two sides fold the same sub-blocks in the same order.  So models with
+a single decision or with constant payoffs give gaps of exactly 0.0, every
+gap is >= 0 entry by entry (and folds and sums of non-negative values stay
+so), and the level-1 single and coupled terms scale the same gap, so their
+coupling identity holds to the bit.  Tests rely on all three properties.  A
+multilevel run needs only how many draws land on each level; the draws of
+one level are sampled from one stream per kind of sample and evaluated in
+chunks, stacked into one payoff call and one `_terms` fold per part and
+chunk.  The fold reduces each draw on its own, so every term has the bits
+it would have alone, whatever the chunk size.
 
 The best decision is taken by ``_best``, one ``np.maximum`` per decision
 column, in `_terms` and in the outer term of the nested estimators.  A max
@@ -32,8 +32,8 @@ nothing and its value does not depend on the order of comparison; only a
 tie between 0.0 and -0.0 can pick either zero.  ``_best`` then returns the
 later column's zero.  numpy's own reduction over the decision axis (numpy
 2.4.6) returns the same bits for up to 8 decisions, but from 9 on its
-vector loop may return the other zero.  The two zeros compare equal, so the estimates agree
-in value either way.
+vector loop may return the other zero.  The two zeros compare equal, so the
+estimates agree in value either way.
 """
 
 from __future__ import annotations
@@ -190,14 +190,14 @@ def _terms(
     payoffs: np.ndarray, dist: LevelDistribution, level: int, variant: str
 ) -> np.ndarray:
     """Probability-weighted level corrections of n draws, from (n, base**level,
-    n_decisions) payoffs.
+    n_decisions) payoffs, in one pass over block sizes base**j, j = 1..level.
 
-    Bracket j of a draw is the average over blocks of the best-decision block
-    mean at block size base**(j-1), minus the same at block size base**j; it
-    is >= 0 for every realization, because averaging best values over
+    A block's gap is the mean of its base sub-blocks' best block means minus
+    its own best block mean; it is >= 0, as averaging best values over
     sub-blocks can only beat taking the best of the pooled averages.  The
-    single term divides bracket ``level`` by pmf(level); the coupled sum adds
-    every bracket j <= level divided by the tail mass of the level law at j.
+    single term is the gap at size base**level over pmf(level); the coupled
+    sum weights the gaps at size base**j by 1/tail(j) and adds them in Horner
+    form, folding the running total to each size before adding.
     """
     base = dist.base
     if payoffs.shape[1] != base**level:
@@ -205,25 +205,21 @@ def _terms(
             f"expected {base**level} payoff rows for level {level}, "
             f"got {payoffs.shape[1]}"
         )
-    # tree[j]: mean over blocks of size base**j of the best block mean
-    tree = []
-    for j in range(level + 1):
-        if j:
-            payoffs = _fold_blocks(payoffs, base)  # block means at size base**j
-        best = _best(payoffs)
-        while best.shape[1] > 1:
-            best = _fold_blocks(best, base)
-        tree.append(best[:, 0])
+    # 1/tail(j) as (1/pmf(j)) * pmf(1): exact for the geometric law, and it
+    # makes the level-1 coupled term bitwise pmf(1) times the single term
+    head = dist.pmf(1)
+    best = _best(payoffs)
+    for j in range(1, level + 1):
+        payoffs = _fold_blocks(payoffs, base)  # block means at size base**j
+        below, best = best, _best(payoffs)
+        gap = _fold_blocks(below, base) - best
+        if variant == "coupled":
+            weighted = (gap / dist.pmf(j)) * head
+            total = weighted if j == 1 else _fold_blocks(total, base) + weighted
     if variant == "single":
-        return (tree[level - 1] - tree[level]) / dist.pmf(level)
+        return gap[:, 0] / dist.pmf(level)
     if variant == "coupled":
-        # 1/tail(j) applied as (1/pmf(j)) * pmf(1), which is exact for the
-        # geometric law and makes the level-1 coupled term bitwise equal to
-        # pmf(1) times the single term on shared samples.
-        head = dist.pmf(1)
-        return sum(
-            ((tree[j - 1] - tree[j]) / dist.pmf(j)) * head for j in range(1, level + 1)
-        )
+        return total[:, 0]
     raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
 
@@ -393,7 +389,10 @@ def evpi_nested(
     ``baseline_draws``.  The first term is unbiased; the subtracted term
     over-estimates its target at any finite size, so the whole estimator is
     biased low.  Cost: outer_draws + baseline_draws.  The two terms are
-    evaluated concurrently, the subtracted one on a helper thread.
+    evaluated concurrently, the subtracted one on a helper thread.  They
+    average through different reductions, so on constant payoffs they cancel
+    only to rounding, not to the exact 0.0 of the multilevel estimators; so
+    do the terms of `evppi_nested`.
     """
     if outer_draws < 1 or baseline_draws < 1:
         raise ValueError("outer_draws and baseline_draws must be >= 1")

@@ -41,7 +41,6 @@ from voimc import (
     LevelDistribution,
     RngStream,
     analytic_evppi,
-    draws_for_budget,
     evpi_mlmc,
     evppi_mlmc,
     make_gaussian_model,
@@ -49,6 +48,7 @@ from voimc import (
     run_plan,
 )
 from voimc.cli import main as cli_main
+from voimc.levels import prefix_level_counts
 
 from support import (
     OFFSET_CONFIG,
@@ -282,24 +282,32 @@ def test_criterion_05_telescoping_identity():
 # ---------------------------------------------------------------------------
 
 
+def _counts_cost(counts: np.ndarray) -> int:
+    """Total cost of the draws that per-level ``counts`` describe."""
+    return sum(DIST.cost(level) * int(counts[level]) for level in range(1, len(counts)))
+
+
 def test_criterion_06_budget_rule():
+    # the prefix counts `_run` spends, checked against a replay of the same
+    # level stream
     budget = 2**10
     exact_ok = True
     for seed in range(1000):
         stream = RngStream(6000, (seed,))
-        levels, n = draws_for_budget(DIST, budget, stream.generator())
-        total = sum(DIST.cost(l) for l in levels)
+        counts = prefix_level_counts(DIST, budget, stream.generator())
+        n = int(counts.sum())
+        total = _counts_cost(counts)
         replay = DIST.sample_levels(stream.generator(), n + 1)
         exact_ok = exact_ok and total <= budget
-        exact_ok = exact_ok and list(replay[:n]) == levels
+        exact_ok = exact_ok and np.array_equal(counts, np.bincount(replay[:n]))
         exact_ok = exact_ok and total + DIST.cost(int(replay[n])) > budget
     # mean cost per draw against the geometric closed form
     # (1 - r) * b / (1 - r*b) = 3 + sqrt(2) = 4.41421...
     target = DIST.expected_cost()
     ratios = []
     for seed in range(150):
-        levels, n = draws_for_budget(DIST, 2**16, RngStream(6100, (seed,)).generator())
-        ratios.append(sum(DIST.cost(l) for l in levels) / n)
+        counts = prefix_level_counts(DIST, 2**16, RngStream(6100, (seed,)).generator())
+        ratios.append(_counts_cost(counts) / int(counts.sum()))
     mean_cost = float(np.mean(ratios))
     cost_ok = abs(mean_cost - target) <= 0.02 * target
     ok = exact_ok and cost_ok

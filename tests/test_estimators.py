@@ -187,6 +187,18 @@ class TestNestedEstimators:
         assert result.estimate == 0.0
         assert result.cost_used == 137
 
+    def test_non_representable_constant_payoffs_cancel_to_rounding(self, tie_setup):
+        # the outer term and the baseline term average through different
+        # reductions, so constants binary floating point cannot represent
+        # cancel only to rounding: within the worst-case error of summing
+        # outer + baseline values of the largest magnitude, 0.3
+        _, prior, _ = tie_setup
+        model = constant_model((0.1, -2.7, 0.3))
+        result = evpi_nested(
+            model, prior, outer_draws=100, baseline_draws=1000, rng=RngStream(1)
+        )
+        assert abs(result.estimate) <= 1100 * np.finfo(float).eps * 0.3
+
     def test_single_decision_is_mean_zero(self, tie_setup):
         _, prior, _ = tie_setup
         model = single_decision_model()
@@ -539,22 +551,29 @@ def _sequential_fold(values: list, width: int) -> list:
 
 def _scalar_term(payoffs: np.ndarray, dist, level: int, variant: str) -> float:
     """The term of one (base**level, n_decisions) draw in plain Python floats,
-    every block summed left to right and then divided by its width."""
+    every block summed left to right and then divided by its width.
+
+    gaps[j - 1] holds, per block of size base**j, the mean of its sub-blocks'
+    best block means minus its own best block mean.  The single term is the
+    one gap at size base**level over pmf(level); the coupled term weights the
+    gaps at size base**j by pmf(1) / pmf(j) and sums them in Horner form."""
     columns = [payoffs[:, d].tolist() for d in range(payoffs.shape[1])]
-    tree = []
-    for j in range(level + 1):
-        if j:
-            columns = [_sequential_fold(c, dist.base) for c in columns]
-        best = [max(row) for row in zip(*columns)]
-        while len(best) > 1:
-            best = _sequential_fold(best, dist.base)
-        tree.append(best[0])
+    best = [max(row) for row in zip(*columns)]
+    gaps = []
+    for _ in range(level):
+        columns = [_sequential_fold(c, dist.base) for c in columns]
+        below, best = best, [max(row) for row in zip(*columns)]
+        gaps.append([a - b for a, b in zip(_sequential_fold(below, dist.base), best)])
     if variant == "single":
-        return (tree[level - 1] - tree[level]) / dist.pmf(level)
-    total = 0.0
-    for j in range(1, level + 1):
-        total += ((tree[j - 1] - tree[j]) / dist.pmf(j)) * dist.pmf(1)
-    return total
+        return gaps[-1][0] / dist.pmf(level)
+    total = []
+    for j, gap in enumerate(gaps, start=1):
+        weighted = [(g / dist.pmf(j)) * dist.pmf(1) for g in gap]
+        if j > 1:
+            folded = _sequential_fold(total, dist.base)
+            weighted = [t + w for t, w in zip(folded, weighted)]
+        total = weighted
+    return total[0]
 
 
 @st.composite
@@ -627,6 +646,37 @@ class TestTermsRowIndependence:
             alone = float(_terms(row[None], dist, level, variant)[0])
             scalar = _scalar_term(row, dist, level, variant)
             assert value.hex() == alone.hex() == scalar.hex()
+
+    @given(case=stacked_payoffs())
+    @settings(deadline=None, max_examples=80)
+    def test_coupled_terms_never_negative(self, case):
+        # every weighted gap is >= 0 entry by entry, and folds and sums of
+        # non-negative values stay non-negative
+        base, level, payoffs = case
+        dist = LevelDistribution(base, optimal_ratio(base, 1))
+        assert (_terms(payoffs, dist, level, "coupled") >= 0.0).all()
+
+
+class TestTermsFoldCount:
+    """`_terms` folds each block size once: no per-level fold tower."""
+
+    @pytest.mark.parametrize("level", range(1, 9))
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_fold_calls_per_term(self, monkeypatch, base, level):
+        calls = []
+
+        def counting(values, width):
+            calls.append(width)
+            return fold(values, width)
+
+        fold = estimators._fold_blocks
+        monkeypatch.setattr(estimators, "_fold_blocks", counting)
+        dist = LevelDistribution(base, optimal_ratio(base, 1))
+        payoffs = np.random.default_rng(level).normal(size=(2, base**level, 3))
+        for variant, bound in (("coupled", 3 * level - 1), ("single", 2 * level)):
+            calls.clear()
+            _terms(payoffs, dist, level, variant)
+            assert len(calls) <= bound, variant
 
 
 class TestDegenerateExactness:

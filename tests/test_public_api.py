@@ -3,7 +3,8 @@
 `bench/` imports the library only through ``voimc``, and the README's python
 blocks show it the same way; a name they use that drops out of
 ``voimc.__all__`` breaks them without failing any library test, so this
-module checks their sources statically.
+module checks their sources statically.  It also checks statically that
+no library module calls `draws_for_budget`, which only the benchmark uses.
 """
 
 import ast
@@ -61,3 +62,19 @@ def test_all_has_no_duplicates():
 def test_every_export_resolves():
     for name in voimc.__all__:
         assert hasattr(voimc, name), name
+
+
+LIBRARY_SOURCES = sorted((ROOT / "src" / "voimc").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", LIBRARY_SOURCES, ids=[p.name for p in LIBRARY_SOURCES])
+def test_library_never_calls_draws_for_budget(path):
+    # the estimators spend the prefix rule through `prefix_level_counts`;
+    # `draws_for_budget` stays exported for the benchmark only
+    calls = [
+        node.func
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+    ]
+    called = {getattr(f, "id", None) or getattr(f, "attr", None) for f in calls}
+    assert "draws_for_budget" not in called
