@@ -86,7 +86,8 @@ def _validate_subset(config: GaussianLinearModel, revealed) -> tuple[int, ...]:
 def _gaussian_draws(rng, size, means, stds):
     # numpy's ziggurat normals, read in stream order: n + m rows drawn in one
     # call equal n rows and then m rows, so the bits do not depend on chunk
-    # sizes or worker layout (they are fixed for a given numpy version).
+    # sizes or worker layout (they are fixed for a given numpy version and
+    # bit generator).
     # Scaled and shifted in place: the bits are those of means + stds * z.
     z = rng.standard_normal((size, means.shape[0]))
     z *= stds

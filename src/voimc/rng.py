@@ -5,6 +5,12 @@ mapping (seed, path) -> bit stream is fixed.  Any unit of work (a replication,
 one kind of sample at one level of a run) owns the stream derived from its
 logical coordinates, never from execution order, so serial and parallel runs
 of the same configuration produce bit-identical results.
+
+Every stream is numpy's SFC64 bit generator, its 256-bit state hashed from
+the coordinates by ``SeedSequence(seed, spawn_key=path)``: distinct
+coordinates give unrelated states, and SFC64's built-in counter gives each
+stream a period of at least 2**64.  `RngStream.generator` is the only place
+in the package that builds a generator.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import _is_int
 
 __all__ = ["RngStream"]
 
@@ -21,23 +29,30 @@ class RngStream:
     """A named position in a reproducible tree of independent random streams.
 
     Distinct (seed, path) pairs yield statistically independent generators;
-    identical pairs yield bit-identical draw sequences.
+    identical pairs yield bit-identical draw sequences.  The seed and every
+    index must be non-negative integers (bools are not); ``path`` is stored as
+    a tuple of Python ints.
     """
 
     seed: int
     path: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        if any(ix < 0 for ix in self.path):
-            raise ValueError("stream indices must be non-negative")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        path = tuple(self.path)
+        if any(not _is_int(ix) or ix < 0 for ix in path):
+            raise ValueError(
+                f"stream indices must be non-negative integers, got {path!r}"
+            )
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "path", tuple(int(ix) for ix in path))
 
     def child(self, *indices: int) -> "RngStream":
         """The sub-stream at the given indices below this one."""
         return RngStream(self.seed, self.path + indices)
 
     def generator(self) -> np.random.Generator:
-        """A fresh counter-based generator positioned at the stream's start."""
+        """A fresh SFC64 generator positioned at the stream's start."""
         entropy = np.random.SeedSequence(self.seed, spawn_key=self.path)
-        return np.random.Generator(np.random.Philox(entropy))
+        return np.random.Generator(np.random.SFC64(entropy))

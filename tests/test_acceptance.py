@@ -21,8 +21,9 @@ weakened:
   w0 = 1) the corrections decay fast, and the same protocol, run unchanged,
   checks both halves of the claim there (the "offset model" checks below):
   on the current samples evppi-coupled has the lower RMSE at 2**16 and the
-  steeper RMSE slope, the slope by a margin of about 0.001, so one
-  100-replication fit does not settle the rate half.  The nested cost is
+  steeper RMSE slope, the slope by a margin of about 0.05 (0.001 on the
+  earlier Philox streams), so one 100-replication fit does not settle the
+  rate half.  The nested cost is
   not matched: its baseline term is priced on top of the budget, and the
   verdict lines print each estimator's mean cost at 2**16.
 

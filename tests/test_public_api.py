@@ -4,7 +4,8 @@
 blocks show it the same way; a name they use that drops out of
 ``voimc.__all__`` breaks them without failing any library test, so this
 module checks their sources statically.  It also checks statically that
-no library module calls `draws_for_budget`, which only the benchmark uses.
+no library module calls `draws_for_budget`, which only the benchmark uses,
+and that no library module but ``rng.py`` builds a random generator.
 """
 
 import ast
@@ -78,3 +79,44 @@ def test_library_never_calls_draws_for_budget(path):
     ]
     called = {getattr(f, "id", None) or getattr(f, "attr", None) for f in calls}
     assert "draws_for_budget" not in called
+
+
+# numpy's bit generators and seeding entry points; `RngStream.generator` is
+# the one place that may name them
+_GENERATOR_NAMES = {
+    "BitGenerator",
+    "MT19937",
+    "PCG64",
+    "PCG64DXSM",
+    "Philox",
+    "SFC64",
+    "SeedSequence",
+    "default_rng",
+    "RandomState",
+}
+
+
+def _named(source: str) -> set[str]:
+    """Every name, attribute and imported alias ``source`` mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update((node.name.rsplit(".", 1)[-1], node.asname))
+    return names
+
+
+def test_rng_module_builds_the_generator():
+    assert _GENERATOR_NAMES & _named((ROOT / "src" / "voimc" / "rng.py").read_text())
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in LIBRARY_SOURCES if p.name != "rng.py"],
+    ids=[p.name for p in LIBRARY_SOURCES if p.name != "rng.py"],
+)
+def test_only_rng_module_names_a_bit_generator(path):
+    assert not _GENERATOR_NAMES & _named(path.read_text())

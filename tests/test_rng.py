@@ -48,3 +48,32 @@ def test_generator_restarts_at_stream_origin():
     first = s.generator().random(8)
     again = s.generator().random(8)
     assert np.array_equal(first, again)
+
+
+@pytest.mark.parametrize("seed", [1.5, 3.0, True, False, "3", None])
+def test_bad_seed_rejected_when_built(seed):
+    with pytest.raises(ValueError, match="seed"):
+        RngStream(seed)
+
+
+@pytest.mark.parametrize("path", [(1.0,), (True,), (0, "1"), (2, -1), (np.float64(2),)])
+def test_bad_index_rejected_when_built(path):
+    with pytest.raises(ValueError, match="indices"):
+        RngStream(3, path)
+    with pytest.raises(ValueError, match="indices"):
+        RngStream(3).child(*path)
+
+
+def test_numpy_integers_and_list_path_normalised():
+    s = RngStream(np.int64(3), [np.int32(1), 2])
+    assert s == RngStream(3, (1, 2))
+    assert type(s.seed) is int
+    assert s.path == (1, 2) and all(type(ix) is int for ix in s.path)
+    assert s.child(4).path == (1, 2, 4)
+
+
+def test_stream_is_sfc64_seeded_from_its_coordinates():
+    bits = RngStream(123, (4, 5)).generator().bit_generator
+    assert type(bits) is np.random.SFC64
+    assert bits.seed_seq.entropy == 123
+    assert bits.seed_seq.spawn_key == (4, 5)
