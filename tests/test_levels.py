@@ -81,6 +81,12 @@ class TestLevelDistribution:
         with pytest.raises(ValueError):
             dist.tail(0)
 
+    def test_expected_cost_closed_form(self):
+        dist = LevelDistribution(2, BENCH_RATIO)
+        assert dist.expected_cost() == pytest.approx(
+            (1 - BENCH_RATIO) * 2 / (1 - BENCH_RATIO * 2)
+        )
+
     def test_cost_is_exact_integer_power(self):
         dist = LevelDistribution(3, 0.1)
         assert dist.cost(4) == 81
@@ -236,23 +242,6 @@ class TestDrawsForBudget:
                 hits += 1
         assert hits > 50  # P(level >= 2) = 0.49
 
-    def test_mean_cost_per_draw_matches_closed_form(self):
-        # A run's mean cost per draw is unbiased for the cost conditioned on
-        # fitting the budget (4.3797 here), not for the unconditioned
-        # (1-r)b/(1-rb) = 4.4142.  It is heavy-tailed: batch means sit near
-        # 4.363, below their mean.  300 runs is the smallest multiple of 50
-        # whose batches failed 0 of 300 disjoint seed sets on Philox streams,
-        # which bounds the false-alarm rate below 1% (60 runs failed 51).
-        dist = LevelDistribution(2, BENCH_RATIO)
-        target = budget_rule_mean(dist, 2**14, dist.cost)
-        assert target == pytest.approx(4.3797, abs=1e-4)
-        costs = np.array([0] + [dist.cost(l) for l in range(1, 15)])
-        ratios = []
-        for seed in range(300):
-            counts = prefix_level_counts(dist, 2**14, RngStream(900 + seed).generator())
-            ratios.append(counts @ costs[: len(counts)] / counts.sum())
-        assert np.mean(ratios) == pytest.approx(target, rel=0.02)
-
     def test_budget_rule_average_matches_conditional_oracle(self):
         # The run average of g(level) under the prefix rule equals the mean of
         # g conditioned on the level fitting the budget -- not the plain mean
@@ -322,3 +311,22 @@ class TestDrawsForBudget:
         dist = LevelDistribution(2, 0.25)
         with pytest.raises(ValueError):
             draws_for_budget(dist, 0, RngStream(0).generator())
+
+
+class TestPrefixLevelCounts:
+    def test_prefix_mean_cost_per_draw_matches_conditional_mean(self):
+        # A run's mean cost per draw is unbiased for the cost conditioned on
+        # fitting the budget (4.3797 here), not for the unconditioned
+        # (1-r)b/(1-rb) = 4.4142.  It is heavy-tailed: batch means sit near
+        # 4.363, below their mean.  300 runs is the smallest multiple of 50
+        # whose batches failed 0 of 300 disjoint seed sets on Philox streams,
+        # which bounds the false-alarm rate below 1% (60 runs failed 51).
+        dist = LevelDistribution(2, BENCH_RATIO)
+        target = budget_rule_mean(dist, 2**14, dist.cost)
+        assert target == pytest.approx(4.3797, abs=1e-4)
+        costs = np.array([0] + [dist.cost(l) for l in range(1, 15)])
+        ratios = []
+        for seed in range(300):
+            counts = prefix_level_counts(dist, 2**14, RngStream(900 + seed).generator())
+            ratios.append(counts @ costs[: len(counts)] / counts.sum())
+        assert np.mean(ratios) == pytest.approx(target, rel=0.02)

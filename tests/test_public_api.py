@@ -4,8 +4,9 @@
 blocks show it the same way; a name they use that drops out of
 ``voimc.__all__`` breaks them without failing any library test, so this
 module checks their sources statically.  It also checks statically that
-no library module calls `draws_for_budget`, which only the benchmark uses,
-and that no library module but ``rng.py`` builds a random generator.
+no library module but ``__init__.py`` names `draws_for_budget`, which only
+the benchmark uses, and that no library module but ``rng.py`` names a random
+generator.
 """
 
 import ast
@@ -68,17 +69,30 @@ def test_every_export_resolves():
 LIBRARY_SOURCES = sorted((ROOT / "src" / "voimc").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", LIBRARY_SOURCES, ids=[p.name for p in LIBRARY_SOURCES])
-def test_library_never_calls_draws_for_budget(path):
+def _named(source: str) -> set[str]:
+    """Every name, attribute and imported alias ``source`` mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update((node.name.rsplit(".", 1)[-1], node.asname))
+    return names
+
+
+def _sources_but(name: str):
+    paths = [p for p in LIBRARY_SOURCES if p.name != name]
+    return pytest.mark.parametrize("path", paths, ids=[p.name for p in paths])
+
+
+@_sources_but("__init__.py")
+def test_library_never_names_draws_for_budget(path):
     # the estimators spend the prefix rule through `prefix_level_counts`;
-    # `draws_for_budget` stays exported for the benchmark only
-    calls = [
-        node.func
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call)
-    ]
-    called = {getattr(f, "id", None) or getattr(f, "attr", None) for f in calls}
-    assert "draws_for_budget" not in called
+    # `draws_for_budget` stays exported, by ``__init__.py``, for the
+    # benchmark only
+    assert "draws_for_budget" not in _named(path.read_text())
 
 
 # numpy's bit generators and seeding entry points; `RngStream.generator` is
@@ -96,27 +110,6 @@ _GENERATOR_NAMES = {
 }
 
 
-def _named(source: str) -> set[str]:
-    """Every name, attribute and imported alias ``source`` mentions."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.update((node.name.rsplit(".", 1)[-1], node.asname))
-    return names
-
-
-def test_rng_module_builds_the_generator():
-    assert _GENERATOR_NAMES & _named((ROOT / "src" / "voimc" / "rng.py").read_text())
-
-
-@pytest.mark.parametrize(
-    "path",
-    [p for p in LIBRARY_SOURCES if p.name != "rng.py"],
-    ids=[p.name for p in LIBRARY_SOURCES if p.name != "rng.py"],
-)
+@_sources_but("rng.py")
 def test_only_rng_module_names_a_bit_generator(path):
     assert not _GENERATOR_NAMES & _named(path.read_text())
