@@ -48,6 +48,7 @@ import numpy as np
 
 from .levels import BudgetExhaustedError, LevelDistribution, prefix_level_counts
 from .model import DecisionModel, FactoredSampler, PriorSampler
+from .model import _check_choice, _check_int
 from .rng import RngStream
 
 __all__ = [
@@ -292,9 +293,8 @@ def nested_allocation(budget: int) -> tuple[int, int]:
     """(inner, outer) = (floor(budget**(1/3)), floor(budget**(2/3))) in exact
     integers: the error-optimal nested split of a budget of inner*outer
     evaluations when the inner bias decays like 1/inner."""
-    if budget < 4:
-        raise ValueError("budget must be at least 4")
-    return _icbrt(int(budget)), _icbrt(int(budget) ** 2)
+    budget = _check_int(budget, "budget", 4)
+    return _icbrt(budget), _icbrt(budget**2)
 
 
 def _icbrt(n: int) -> int:
@@ -392,14 +392,14 @@ def evpi_nested(
     evaluated concurrently, the subtracted one on a helper thread.  They
     average through different reductions, so on constant payoffs they cancel
     only to rounding, not to the exact 0.0 of the multilevel estimators; so
-    do the terms of `evppi_nested`.
+    do the terms of `evppi_nested`.  Every draw count of either nested
+    estimator must be a positive Python or numpy integer (bools are not);
+    anything else raises ValueError naming it before any sampling.
     """
-    if outer_draws < 1 or baseline_draws < 1:
-        raise ValueError("outer_draws and baseline_draws must be >= 1")
+    outer = _check_int(outer_draws, "outer_draws", 1)
+    baseline = _check_int(baseline_draws, "baseline_draws", 1)
     # the mean over one row is that row, bit for bit
-    return _nested(
-        model, prior, _prior_rows(prior), (0,), outer_draws, 1, baseline_draws, rng
-    )
+    return _nested(model, prior, _prior_rows(prior), (0,), outer, 1, baseline, rng)
 
 
 def evppi_nested(
@@ -422,22 +422,18 @@ def evppi_nested(
     sampling when one outer draw's inner rows would need more than 2**30
     bytes (inner_draws * dimension * 8).
     """
-    if outer_draws < 1 or inner_draws < 1 or baseline_draws < 1:
-        raise ValueError("all draw counts must be >= 1")
     return _nested(
         model, prior, _conditional_rows(factored), (0, 2),
-        outer_draws, inner_draws, baseline_draws, rng,
+        _check_int(outer_draws, "outer_draws", 1),
+        _check_int(inner_draws, "inner_draws", 1),
+        _check_int(baseline_draws, "baseline_draws", 1),
+        rng,
     )
 
 
 # ---------------------------------------------------------------------------
 # randomized multilevel estimators
 # ---------------------------------------------------------------------------
-
-
-def _check_variant(name: str, variant: str) -> None:
-    if variant not in _VARIANTS:
-        raise ValueError(f"{name} must be one of {_VARIANTS}, got {variant!r}")
 
 
 def _run(
@@ -457,6 +453,8 @@ def _run(
     reaches the moments with its chunk.  ``budget_rule`` spends ``budget``
     as described in `evpi_mlmc`.
     """
+    budget = _check_int(budget, "budget", 1)
+    _check_choice(budget_rule, "budget_rule", _BUDGET_RULES)
     n_parts = len(parts)
     level_rng = rng.child(0).generator()
     if budget_rule == "expected":
@@ -469,7 +467,7 @@ def _run(
                 f"at least {math.ceil(draw_cost)}"
             )
         counts = dist.level_counts(level_rng, n)
-    elif budget_rule == "prefix":
+    else:  # "prefix"
         if budget < n_parts * dist.cost(1):
             raise ValueError(
                 f"budget must be at least {n_parts * dist.cost(1)}, the cost of one "
@@ -482,10 +480,6 @@ def _run(
             raise BudgetExhaustedError(
                 f"first drawn level does not fit within budget {budget}"
             )
-    else:
-        raise ValueError(
-            f"budget_rule must be one of {_BUDGET_RULES}, got {budget_rule!r}"
-        )
     deepest = counts.shape[0] - 1
     _check_draw(f"a level-{deepest} draw", dist.cost(deepest), model.dimension)
     moments = _RunningMoments()
@@ -541,11 +535,14 @@ def evpi_mlmc(
       the first level does not fit (re-drawing it would tilt the level law).
       `run_plan` and the CLI use this rule.
 
-    Either rule keeps only the number of draws at each level, never a level
-    list, and raises MemoryError before sampling when one draw would need
-    more than 2**30 bytes of samples (base**level * dimension * 8).
+    ``budget`` must be a positive Python or numpy integer (bools and floats
+    such as 1e5 are not); anything else raises ValueError naming it before
+    any stream is built.  Either rule keeps only the number of draws at each
+    level, never a level list, and raises MemoryError before sampling when
+    one draw would need more than 2**30 bytes of samples (base**level *
+    dimension * 8).
     """
-    _check_variant("variant", variant)
+    _check_choice(variant, "variant", _VARIANTS)
     parts = [(variant, (1,), _prior_rows(prior))]
     return _run(model, parts, dist, budget, budget_rule, rng)
 
@@ -574,8 +571,8 @@ def evppi_mlmc(
 
     ``per_level`` in the result is keyed by the draw's level.
     """
-    _check_variant("variant_y", variant_y)
-    _check_variant("variant_z", variant_z)
+    _check_choice(variant_y, "variant_y", _VARIANTS)
+    _check_choice(variant_z, "variant_z", _VARIANTS)
     parts = [
         (variant_y, (1,), _prior_rows(prior)),
         (variant_z, (2, 3), _conditional_rows(factored)),

@@ -33,7 +33,7 @@ from .gaussian import (
     make_gaussian_model,
 )
 from .levels import BudgetExhaustedError, LevelDistribution, optimal_ratio
-from .model import _is_int
+from .model import _check_choice, _check_int
 from .rng import RngStream
 
 __all__ = [
@@ -73,24 +73,15 @@ class ExperimentPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.estimator not in ESTIMATOR_NAMES:
-            raise ValueError(
-                f"estimator must be one of {ESTIMATOR_NAMES}, got {self.estimator!r}"
-            )
+        _check_choice(self.estimator, "estimator", ESTIMATOR_NAMES)
         if len(self.budgets) == 0:
             raise ValueError("at least one budget is required")
-        if not all(map(_is_int, self.budgets)):
-            raise ValueError(f"budgets must be integers, got {self.budgets}")
+        for budget in self.budgets:
+            _check_int(budget, "budget", 1)
         if any(b <= a for a, b in zip(self.budgets, self.budgets[1:])):
             raise ValueError("budgets must be strictly increasing")
-        if self.budgets[0] < 1:
-            raise ValueError("budgets must be positive")
-        if not _is_int(self.replications) or self.replications < 1:
-            raise ValueError(
-                f"replications must be an integer >= 1, got {self.replications!r}"
-            )
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_int(self.replications, "replications", 1)
+        _check_int(self.seed, "seed", 0)
         # checked for every estimator, so a bad level law fails before any
         # worker starts or any CSV is written
         LevelDistribution(self.base, self.level_ratio)
@@ -263,11 +254,11 @@ def _resolve_model(plan: ExperimentPlan):
 def run_plan(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
     """Execute a plan; deterministic for a fixed seed at any worker count.
 
-    Raises ValueError when ``workers`` is below 1, and BudgetExhaustedError
-    when every replication of some budget ran out before its first draw.
+    Raises ValueError unless ``workers`` is a positive integer, and
+    BudgetExhaustedError when every replication of some budget ran out before
+    its first draw.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _check_int(workers, "workers", 1)
     config, subset, truth, named = _resolve_model(plan)
     cell = functools.partial(run_replication, plan, config, subset)
     reps = range(1, plan.replications + 1)

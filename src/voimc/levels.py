@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _check_int
+
 __all__ = [
     "LevelDistribution",
     "BudgetExhaustedError",
@@ -48,8 +50,7 @@ class LevelDistribution:
     ratio: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base, (int, np.integer)) or self.base < 2:
-            raise ValueError("base must be an integer >= 2")
+        _check_int(self.base, "base", 2)
         if not isinstance(self.ratio, numbers.Real) or not 0.0 < self.ratio < 1.0:
             raise ValueError(
                 f"ratio must be a number strictly between 0 and 1, got {self.ratio!r}"
@@ -61,18 +62,16 @@ class LevelDistribution:
 
     def pmf(self, level: int) -> float:
         """Probability of drawing ``level``: (1 - ratio) * ratio**(level-1)."""
-        self._check_level(level)
+        level = _check_int(level, "level", 1)
         return (1.0 - self.ratio) * self.ratio ** (level - 1)
 
     def tail(self, level: int) -> float:
         """Total mass at or above ``level``: exactly ratio**(level-1)."""
-        self._check_level(level)
-        return self.ratio ** (level - 1)
+        return self.ratio ** (_check_int(level, "level", 1) - 1)
 
     def cost(self, level: int) -> int:
         """Evaluations consumed by one level-``level`` term: base**level."""
-        self._check_level(level)
-        return int(self.base) ** int(level)
+        return int(self.base) ** _check_int(level, "level", 1)
 
     def expected_cost(self) -> float:
         """Mean evaluations per draw: (1-ratio)*base / (1 - ratio*base)."""
@@ -93,16 +92,11 @@ class LevelDistribution:
         Level l takes Binomial(remaining, 1 - ratio) of the draws not placed
         below it, which is exact because pmf(l) / tail(l) = 1 - ratio."""
         counts = [0]
-        remaining = n
+        remaining = _check_int(n, "n", 0)
         while remaining:
             counts.append(int(rng.binomial(remaining, 1.0 - self.ratio)))
             remaining -= counts[-1]
         return np.array(counts, dtype=np.int64)
-
-    @staticmethod
-    def _check_level(level: int) -> None:
-        if level < 1:
-            raise ValueError("level must be a positive integer")
 
 
 def optimal_ratio(base: int, decay: float) -> float:
@@ -113,8 +107,7 @@ def optimal_ratio(base: int, decay: float) -> float:
     base**(-2q) < ratio < base**(-1), the window on which both the estimator
     variance and the expected cost stay finite.  Requires decay > 1/2.
     """
-    if base < 2:
-        raise ValueError("base must be >= 2")
+    _check_int(base, "base", 2)
     if decay <= 0.5:
         raise ValueError(
             "decay must exceed 1/2: below that no geometric ratio keeps both "
@@ -126,8 +119,7 @@ def optimal_ratio(base: int, decay: float) -> float:
 def _prefix_blocks(dist, budget: int, rng) -> Iterator[np.ndarray]:
     """The levels of the longest i.i.d. prefix whose cost fits ``budget``, one
     `sample_levels` block at a time; the last block is cut at the stop."""
-    if budget < 1:
-        raise ValueError("budget must be a positive integer")
+    budget = _check_int(budget, "budget", 1)
     # costs[l] = base**l for every level that fits the budget alone, and
     # budget + 1 for the first one that does not; deeper levels are clipped to
     # it.  A block's running sum thus stays below 2**63 for budgets below

@@ -36,25 +36,27 @@ class PayoffEvaluationError(ValueError):
     """A payoff evaluated to a non-finite value."""
 
 
-def _is_int(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer (bools are not)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _check_int(value, name: str, minimum: int) -> int:
+    """``value`` as a Python int; ValueError naming ``name`` unless it is a
+    Python or numpy integer (bools are not) of at least ``minimum``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if value >= minimum:
+            return int(value)
+    wanted = {0: "a non-negative integer", 1: "a positive integer"}
+    wanted = wanted.get(minimum, f"an integer >= {minimum}")
+    raise ValueError(f"{name} must be {wanted}, got {value!r}")
 
 
-def _check_dimension(dimension) -> None:
-    """ValueError unless ``dimension`` is an integer >= 1."""
-    if not _is_int(dimension) or dimension < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
+def _check_choice(value, name: str, choices: tuple) -> None:
+    """ValueError naming ``name`` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def _coordinates(dimension: int, revealed) -> tuple[int, ...]:
     """``revealed`` as distinct integer coordinates in 1..dimension, in order."""
-    revealed = tuple(revealed)
-    for ix in revealed:
-        if not _is_int(ix):
-            raise ValueError(f"revealed coordinates must be integers, got {ix!r}")
-    revealed = tuple(int(ix) for ix in revealed)
-    if any(not (1 <= ix <= dimension) for ix in revealed):
+    revealed = tuple(_check_int(ix, "revealed coordinates", 1) for ix in revealed)
+    if any(ix > dimension for ix in revealed):
         raise ValueError(
             f"revealed coordinates must lie in 1..{dimension}, got {revealed}"
         )
@@ -91,7 +93,7 @@ class DecisionModel:
             raise ValueError("decision set must be non-empty")
         if len(set(self.decisions)) != len(self.decisions):
             raise ValueError("decision labels must be unique")
-        _check_dimension(self.dimension)
+        _check_int(self.dimension, "dimension", 1)
 
     @property
     def n_decisions(self) -> int:
@@ -130,10 +132,10 @@ class PriorSampler:
     draw_fn: Callable[[np.random.Generator, int], np.ndarray]
 
     def __post_init__(self) -> None:
-        _check_dimension(self.dimension)
+        _check_int(self.dimension, "dimension", 1)
 
     def draw(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        size = int(size)
+        size = _check_int(size, "size", 0)
         out = self.draw_fn(rng, size)
         return _checked(out, (size, self.dimension), "prior sampler")
 
@@ -159,7 +161,7 @@ class FactoredSampler:
     conditional_fn: Callable[[np.ndarray, np.random.Generator, int], np.ndarray]
 
     def __post_init__(self) -> None:
-        _check_dimension(self.dimension)
+        _check_int(self.dimension, "dimension", 1)
         revealed = _coordinates(self.dimension, self.revealed)
         object.__setattr__(self, "revealed", revealed)
         r_idx = np.asarray([ix - 1 for ix in revealed], dtype=np.intp)
@@ -176,7 +178,7 @@ class FactoredSampler:
         return self.dimension - len(self.revealed)
 
     def draw_marginal(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        size = int(size)
+        size = _check_int(size, "size", 0)
         out = self.marginal_fn(rng, size)
         return _checked(out, (size, self.n_revealed), "marginal sampler")
 
@@ -191,7 +193,7 @@ class FactoredSampler:
                 f"expected a revealed block of shape (n, {self.n_revealed}), "
                 f"got {revealed_values.shape}"
             )
-        size = int(size)
+        size = _check_int(size, "size", 0)
         out = self.conditional_fn(revealed_values, rng, size)
         shape = (revealed_values.shape[0] * size, self.n_hidden)
         return _checked(out, shape, "conditional sampler")

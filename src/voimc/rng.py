@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _is_int
+from .model import _check_int
 
 __all__ = ["RngStream"]
 
@@ -38,15 +38,9 @@ class RngStream:
     path: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        path = tuple(self.path)
-        if any(not _is_int(ix) or ix < 0 for ix in path):
-            raise ValueError(
-                f"stream indices must be non-negative integers, got {path!r}"
-            )
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "path", tuple(int(ix) for ix in path))
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0))
+        path = tuple(_check_int(ix, "stream index", 0) for ix in self.path)
+        object.__setattr__(self, "path", path)
 
     def child(self, *indices: int) -> "RngStream":
         """The sub-stream at the given indices below this one."""

@@ -15,7 +15,6 @@ from voimc import (
     GaussianLinearModel,
     PriorSampler,
     analytic_evppi,
-    draws_for_budget,
 )
 from voimc import estimators
 from voimc.estimators import (
@@ -111,12 +110,13 @@ def conditional_term(
 
 
 def level_counts(dist, budget: int, parts: int, rng, budget_rule: str) -> np.ndarray:
-    """Draws per level (indexed by level) of a run, from ``rng.child(0)``."""
+    """Draws per level (indexed by level) of a run, from ``rng.child(0)``; the
+    prefix rule's by `draws_for_budget_loop`, not the production walk."""
     level_rng = rng.child(0).generator()
     if budget_rule == "expected":
         n = math.floor(budget / (parts * dist.expected_cost()))
         return dist.level_counts(level_rng, n)
-    return np.bincount(draws_for_budget(dist, budget // parts, level_rng)[0])
+    return np.bincount(draws_for_budget_loop(dist, budget // parts, level_rng)[0])
 
 
 def per_draw_run(

@@ -302,9 +302,10 @@ def test_criterion_06_budget_rule():
         exact_ok = exact_ok and total <= budget
         exact_ok = exact_ok and np.array_equal(counts, np.bincount(replay[:n]))
         exact_ok = exact_ok and total + DIST.cost(int(replay[n])) > budget
-    # mean cost per draw against the geometric closed form
-    # (1 - r) * b / (1 - r*b) = 3 + sqrt(2) = 4.41421...
-    target = DIST.expected_cost()
+    # mean cost per draw against its exact mean under the prefix rule: the
+    # cost of a level conditioned on fitting the budget, 4.3970..., not the
+    # unconditioned (1 - r) * b / (1 - r*b) = 3 + sqrt(2) = 4.41421...
+    target = budget_rule_mean(DIST, 2**16, DIST.cost)
     ratios = []
     for seed in range(150):
         counts = prefix_level_counts(DIST, 2**16, RngStream(6100, (seed,)).generator())
@@ -314,7 +315,7 @@ def test_criterion_06_budget_rule():
     ok = exact_ok and cost_ok
     detail = (
         f"prefix rule exact on 1000 sequences: {exact_ok}; mean cost/draw "
-        f"{mean_cost:.4f} vs (1-r)b/(1-rb) = {target:.4f} (2% tolerance)"
+        f"{mean_cost:.4f} vs E[b^L | b^L <= 2^16] = {target:.4f} (2% tolerance)"
     )
     line = _verdict("criterion 6: budget rule", ok, detail)
     assert ok, line

@@ -141,18 +141,21 @@ class TestMaxMeanPayoff:
 
     def test_empty_rejected(self, tie_setup):
         model, prior, factored = tie_setup
-        with pytest.raises(ValueError):
-            evpi_nested(model, prior, outer_draws=1, baseline_draws=0, rng=RngStream(0))
-        with pytest.raises(ValueError):
-            evppi_nested(
-                model,
-                factored,
-                prior,
-                outer_draws=1,
-                inner_draws=1,
-                baseline_draws=0,
-                rng=RngStream(0),
-            )
+        counts = {"outer_draws": 1, "inner_draws": 1, "baseline_draws": 1}
+        for name in counts:
+            for bad in (0, True, 2.5):
+                args = {**counts, name: bad}
+                with pytest.raises(ValueError, match=f"{name} must be a positive"):
+                    evppi_nested(model, factored, prior, **args, rng=RngStream(0))
+                del args["inner_draws"]
+                if name != "inner_draws":
+                    with pytest.raises(ValueError, match=f"{name} must be a positive"):
+                        evpi_nested(model, prior, **args, rng=RngStream(0))
+        # numpy integers are counts like any other
+        args = {"outer_draws": np.int64(3), "baseline_draws": np.int32(2)}
+        assert evpi_nested(model, prior, **args, rng=RngStream(0)) == evpi_nested(
+            model, prior, outer_draws=3, baseline_draws=2, rng=RngStream(0)
+        )
 
 
 class TestNestedAllocation:
@@ -175,8 +178,9 @@ class TestNestedAllocation:
         assert nested_allocation(np.int64(2**62 + 1)) == nested_allocation(2**62 + 1)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            nested_allocation(3)
+        for budget in (3, 4.5, True, "64"):
+            with pytest.raises(ValueError, match="budget must be an integer >= 4"):
+                nested_allocation(budget)
 
 
 class TestNestedEstimators:
@@ -955,7 +959,7 @@ class TestMlmcEstimators:
                 raised_pp += 1
         assert raised_pp > 10
 
-    def test_invalid_arguments(self, tie_setup):
+    def test_invalid_arguments(self, tie_setup, monkeypatch):
         model, prior, factored = tie_setup
         with pytest.raises(ValueError):
             evpi_mlmc(model, prior, DIST, 1, "single", RngStream(0))
@@ -975,6 +979,32 @@ class TestMlmcEstimators:
             evpi_mlmc(model, prior, DIST, 4, "single", RngStream(0))
         with pytest.raises(ValueError, match="at least 9"):
             evppi_mlmc(model, factored, prior, DIST, 8, rng=RngStream(0))
+        # a numpy integer budget runs as the same Python integer
+        for rule in ("expected", "prefix"):
+            run = partial(
+                evpi_mlmc, model, prior, DIST, variant="single", rng=RngStream(0),
+                budget_rule=rule,
+            )
+            assert run(np.int64(64)) == run(64)
+
+        # a budget that is no positive integer is refused, naming it, before
+        # any stream is built
+        def never(_stream):
+            pytest.fail("built a generator for a run with a bad budget")
+
+        monkeypatch.setattr(RngStream, "generator", never)
+        for budget in (-5, 2**16 + 0.5, math.nan, math.inf, True, "100"):
+            for rule in ("expected", "prefix"):
+                with pytest.raises(ValueError, match="budget must be a positive integer"):
+                    evpi_mlmc(
+                        model, prior, DIST, budget, "coupled", RngStream(0),
+                        budget_rule=rule,
+                    )
+                with pytest.raises(ValueError, match="budget must be a positive integer"):
+                    evppi_mlmc(
+                        model, factored, prior, DIST, budget, rng=RngStream(0),
+                        budget_rule=rule,
+                    )
 
     def test_oversized_draw_refused_before_sampling(self, tie_setup):
         model, _, factored = tie_setup

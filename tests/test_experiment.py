@@ -76,7 +76,7 @@ class TestFitSlope:
 
 class TestPlanValidation:
     def test_bad_estimator(self, benchmark_model_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="estimator must be one of"):
             ExperimentPlan("evpi-magic", (256,), 1, benchmark_model_path)
 
     def test_budgets_must_increase(self, benchmark_model_path):
@@ -84,12 +84,17 @@ class TestPlanValidation:
             ExperimentPlan("evpi-single", (256, 256), 1, benchmark_model_path)
 
     def test_budgets_must_be_positive(self, benchmark_model_path):
-        with pytest.raises(ValueError, match="budgets must be positive"):
+        with pytest.raises(ValueError, match="budget must be a positive integer"):
             ExperimentPlan("evpi-single", (0, 16), 1, benchmark_model_path)
 
     def test_replications_positive(self, benchmark_model_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="replications must be a positive"):
             ExperimentPlan("evpi-single", (256,), 0, benchmark_model_path)
+        # numpy integers are accepted in every integer field
+        ExperimentPlan(
+            "evpi-single", (np.int64(256),), np.int32(2), benchmark_model_path,
+            seed=np.uint8(3),
+        )
 
     def test_negative_seed_rejected(self, benchmark_model_path):
         with pytest.raises(ValueError, match="seed"):
@@ -208,9 +213,11 @@ class TestRunPlan:
 
     def test_workers_below_one_rejected(self, benchmark_model_path):
         plan = ExperimentPlan("evpi-nested", (16,), 1, benchmark_model_path)
-        for workers in (0, -1):
-            with pytest.raises(ValueError, match="workers"):
+        # counts that are not integers at all are refused too
+        for workers in (0, -1, 1.5, True):
+            with pytest.raises(ValueError, match="workers must be a positive integer"):
                 run_plan(plan, workers=workers)
+        assert run_plan(plan, workers=np.int64(1)).records == run_plan(plan).records
 
     def test_replication_streams_keyed_by_index_not_order(self, benchmark_model_path):
         # running a superset of budgets must not disturb shared cells

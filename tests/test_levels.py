@@ -68,6 +68,10 @@ class TestLevelDistribution:
         # a float base is refused even when integral: the level fold needs an int
         with pytest.raises(ValueError, match="base"):
             LevelDistribution(2.0, 0.3)
+        # so is a fractional base in the ratio rule
+        with pytest.raises(ValueError, match="base must be an integer >= 2"):
+            optimal_ratio(2.5, 1)
+        assert optimal_ratio(np.int64(2), 1) == optimal_ratio(2, 1)
 
     @pytest.mark.parametrize("ratio", ["0.3", None, 0.3j, [0.3]], ids=repr)
     def test_non_number_ratio_refused(self, ratio):
@@ -76,10 +80,17 @@ class TestLevelDistribution:
 
     def test_level_arguments_validated(self):
         dist = LevelDistribution(2, 0.25)
-        with pytest.raises(ValueError):
-            dist.pmf(0)
-        with pytest.raises(ValueError):
-            dist.tail(0)
+        for method in (dist.pmf, dist.tail, dist.cost):
+            for level in (0, 2.5, True):
+                with pytest.raises(ValueError, match="level must be a positive"):
+                    method(level)
+            assert method(np.int64(3)) == method(3)
+        # a draw count is checked before the generator is touched: a
+        # fractional one would leave a remainder no binomial draw empties
+        for n in (-1, 2.5, True):
+            with pytest.raises(ValueError, match="n must be a non-negative integer"):
+                dist.level_counts(object(), n)
+        assert dist.level_counts(RngStream(1).generator(), np.int64(4)).sum() == 4
 
     def test_expected_cost_closed_form(self):
         dist = LevelDistribution(2, BENCH_RATIO)

@@ -109,6 +109,19 @@ class TestSamplers:
         xb = factored.draw_marginal(RngStream(5, (2,)).generator(), 10)
         assert np.array_equal(xa, xb)
 
+    @pytest.mark.parametrize("size", [-1, 2.5, True, "2"], ids=repr)
+    def test_bad_size_refused(self, tie_model, size):
+        # refused, not truncated by int()
+        _, prior, factored = tie_model
+        gen = RngStream(5).generator()
+        with pytest.raises(ValueError, match="size must be a non-negative integer"):
+            prior.draw(gen, size)
+        with pytest.raises(ValueError, match="size must be a non-negative integer"):
+            factored.draw_marginal(gen, size)
+        with pytest.raises(ValueError, match="size must be a non-negative integer"):
+            factored.draw_conditional(np.zeros((1, 2)), gen, size)
+        assert prior.draw(gen, np.int64(2)).shape == (2, 5)
+
     def test_distinct_streams_distinct_samples(self, tie_model):
         _, prior, _ = tie_model
         a = prior.draw(RngStream(5, (1,)).generator(), 100)

@@ -5,8 +5,9 @@ blocks show it the same way; a name they use that drops out of
 ``voimc.__all__`` breaks them without failing any library test, so this
 module checks their sources statically.  It also checks statically that
 no library module but ``__init__.py`` names `draws_for_budget`, which only
-the benchmark uses, and that no library module but ``rng.py`` names a random
-generator.
+the benchmark uses, that no library module but ``rng.py`` names a random
+generator, and that no library module but ``model.py`` names ``np.integer``,
+so every integer argument goes through ``model._check_int``.
 """
 
 import ast
@@ -113,3 +114,10 @@ _GENERATOR_NAMES = {
 @_sources_but("rng.py")
 def test_only_rng_module_names_a_bit_generator(path):
     assert not _GENERATOR_NAMES & _named(path.read_text())
+
+
+@_sources_but("model.py")
+def test_only_model_module_checks_integers(path):
+    # `_check_int` is the one integer-argument check; a second, hand-rolled
+    # ``isinstance(value, np.integer)`` check would name `integer`
+    assert "integer" not in _named(path.read_text())

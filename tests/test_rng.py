@@ -58,9 +58,9 @@ def test_bad_seed_rejected_when_built(seed):
 
 @pytest.mark.parametrize("path", [(1.0,), (True,), (0, "1"), (2, -1), (np.float64(2),)])
 def test_bad_index_rejected_when_built(path):
-    with pytest.raises(ValueError, match="indices"):
+    with pytest.raises(ValueError, match="stream index"):
         RngStream(3, path)
-    with pytest.raises(ValueError, match="indices"):
+    with pytest.raises(ValueError, match="stream index"):
         RngStream(3).child(*path)
 
 
