@@ -23,7 +23,11 @@ multilevel run needs only how many draws land on each level; the draws of
 one level are sampled from one stream per kind of sample and evaluated in
 chunks, stacked into one payoff call and one `_terms` fold per part and
 chunk.  The fold reduces each draw on its own, so every term has the bits
-it would have alone, whatever the chunk size.
+it would have alone, whatever the chunk size.  The nested estimators reduce
+by ``_fold_sum``, a left-to-right running sum: the baseline over its rows,
+chunk by chunk into running totals, and the outer term over each draw's
+inner rows.  So their bits do not depend on the payoff array's memory
+layout (C or Fortran order, a strided view) or on its number of decisions.
 
 The best decision is taken by ``_best``, one ``np.maximum`` per decision
 column, in `_terms` and in the outer term of the nested estimators.  A max
@@ -175,6 +179,21 @@ def _fold_blocks(values: np.ndarray, width: int) -> np.ndarray:
     return acc
 
 
+def _fold_sum(values: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along ``axis`` as one left-to-right fold, whatever the memory
+    layout of ``values``.
+
+    numpy's own sum folds pairwise when the axis is contiguous in memory and
+    in sequence otherwise, and it is slow when the other axes are narrow; the
+    last entry of a running sum is neither.  An axis of length one is its own
+    sum, taken as it is: a running sum over it would call its inner loop once
+    per entry.
+    """
+    if values.shape[axis] == 1:
+        return values.take(0, axis)
+    return np.cumsum(values, axis).take(-1, axis)
+
+
 def _best(payoffs: np.ndarray) -> np.ndarray:
     """Max over the last (decision) axis, taken one column at a time.
 
@@ -313,7 +332,9 @@ def _accumulate_best_means(
     stop: threading.Event,
 ) -> float:
     """max_d of the per-decision mean over ``draws`` prior samples, in chunks
-    of at most ``_NESTED_CHUNK`` rows.
+    of at most ``_NESTED_CHUNK`` rows.  Each chunk's per-decision sums are
+    one left-to-right fold over its rows (`_fold_sum`), added to running
+    totals, so the bits do not depend on the payoffs' memory layout.
 
     The max of means, not the mean of maxes: it converges from above (in
     expectation) to the best expected payoff.  Stops, returning a meaningless
@@ -322,7 +343,7 @@ def _accumulate_best_means(
     rows = _prior_rows(prior)
     sums = np.zeros(model.n_decisions, dtype=np.float64)
     for n in _chunks(draws, 1, _NESTED_CHUNK):
-        sums += model.payoff_matrix(rows(rng, n, 1)).sum(axis=0)
+        sums += _fold_sum(model.payoff_matrix(rows(rng, n, 1)), 0)
         if stop.is_set():
             break
     return float((sums / draws).max())
@@ -362,7 +383,8 @@ def _nested(
         try:
             for n in _chunks(outer, inner, _NESTED_CHUNK):
                 payoffs = model.payoff_matrix(rows(*gens, n, inner))
-                moments.add_many(_best(payoffs.reshape(n, inner, -1).mean(axis=1)))
+                sums = _fold_sum(payoffs.reshape(n, inner, -1), 1)
+                moments.add_many(_best(sums / inner))
         except BaseException:
             stop.set()
             raise

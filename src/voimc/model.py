@@ -202,9 +202,24 @@ class FactoredSampler:
         self, revealed_values: np.ndarray, hidden_samples: np.ndarray
     ) -> np.ndarray:
         """Full parameter vectors from an (n, n_revealed) revealed block and
-        the hidden rows `draw_conditional` returns for it."""
+        the hidden rows `draw_conditional` returns for it: (n*k, n_hidden)
+        rows, k per revealed row.  Any other pair of shapes raises ValueError
+        naming both."""
+        revealed_values = np.asarray(revealed_values, dtype=np.float64)
         hidden_samples = np.asarray(hidden_samples, dtype=np.float64)
-        repeats = hidden_samples.shape[0] // max(len(revealed_values), 1)
+        n = revealed_values.shape[0] if revealed_values.ndim == 2 else -1
+        rows = hidden_samples.shape[0] if hidden_samples.ndim == 2 else -1
+        repeats = rows // max(n, 1)
+        if (
+            revealed_values.shape != (n, self.n_revealed)
+            or hidden_samples.shape != (rows, self.n_hidden)
+            or rows != n * repeats
+        ):
+            raise ValueError(
+                f"cannot combine a revealed block of shape {revealed_values.shape} "
+                f"with hidden rows of shape {hidden_samples.shape}; expected "
+                f"(n, {self.n_revealed}) and (n*k, {self.n_hidden})"
+            )
         out = np.empty((hidden_samples.shape[0], self.dimension), dtype=np.float64)
         out[:, self._revealed_idx] = np.repeat(revealed_values, repeats, axis=0)
         out[:, self._hidden_idx] = hidden_samples

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ from voimc import (
 from voimc import estimators
 from voimc.estimators import (
     EstimateResult,
-    _accumulate_best_means,
     _chunks,
     _freeze_levels,
     _RunningMoments,
@@ -186,12 +184,27 @@ def icbrt(n: int) -> int:
     return k
 
 
+def serial_baseline(model, prior, draws: int, gen) -> float:
+    """The nested baseline term as a plain loop: ``draws`` prior rows from
+    ``gen`` in chunks of ``_NESTED_CHUNK``, each chunk summed row by row, left
+    to right, and added to per-decision running totals; then the best mean."""
+    totals = np.zeros(model.n_decisions)
+    for n in _chunks(draws, 1, estimators._NESTED_CHUNK):
+        payoffs = model.payoff_matrix(prior.draw(gen, n))
+        chunk = payoffs[0].copy()
+        for row in payoffs[1:]:
+            chunk += row
+        totals += chunk
+    return max((totals / draws).tolist())
+
+
 def serial_nested(
     model, prior, *, outer_draws, baseline_draws, rng, factored=None, inner_draws=1
 ) -> EstimateResult:
     """`evpi_nested` (``factored`` None) or `evppi_nested` computed on one
-    thread: the outer chunk loop to the end, then `_accumulate_best_means`,
-    on the same child streams and the same ``_NESTED_CHUNK``."""
+    thread: the outer chunk loop to the end, each draw's inner rows summed
+    left to right, then `serial_baseline`, on the same child streams and the
+    same ``_NESTED_CHUNK``."""
     moments = _RunningMoments()
     if factored is None:
         gen = rng.child(0).generator()
@@ -204,12 +217,14 @@ def serial_nested(
         for n in _chunks(outer_draws, inner_draws, estimators._NESTED_CHUNK):
             revealed = factored.draw_marginal(revealed_gen, n)
             hidden = factored.draw_conditional(revealed, hidden_gen, inner_draws)
-            payoffs = model.payoff_matrix(factored.combine(revealed, hidden))
-            moments.add_many(payoffs.reshape(n, inner_draws, -1).mean(axis=1).max(axis=1))
+            draws = model.payoff_matrix(factored.combine(revealed, hidden))
+            draws = draws.reshape(n, inner_draws, -1)
+            sums = draws[:, 0].copy()  # each draw's inner rows, left to right
+            for i in range(1, inner_draws):
+                sums += draws[:, i]
+            moments.add_many((sums / inner_draws).max(axis=1))
         cost = outer_draws * inner_draws + baseline_draws
-    baseline = _accumulate_best_means(
-        model, prior, baseline_draws, rng.child(1).generator(), threading.Event()
-    )
+    baseline = serial_baseline(model, prior, baseline_draws, rng.child(1).generator())
     return EstimateResult(
         estimate=float(moments.mean - baseline),
         n_draws=outer_draws,

@@ -326,21 +326,73 @@ def _raised(call) -> tuple[type, str]:
     return type(info.value), str(info.value)
 
 
+def _decisions(count: int, layout: str) -> DecisionModel:
+    """``count`` affine decisions of the 5 coordinates, whose payoff array
+    comes back C-ordered, Fortran-ordered or as every other column of a
+    wider array (``layout`` "C", "F" or "strided")."""
+    weights = np.cos(np.arange(5 * count, dtype=float)).reshape(5, count)
+    shifts = np.sin(np.arange(count, dtype=float)) / 3
+
+    def payoff(xs):
+        values = xs @ weights + shifts
+        if layout == "F":
+            return np.asfortranarray(values)
+        if layout == "strided":
+            wide = np.zeros((len(values), 2 * count))
+            wide[:, ::2] = values
+            return wide[:, ::2]
+        return np.ascontiguousarray(values)
+
+    return DecisionModel(tuple(range(count)), payoff, 5)
+
+
+class TestNestedPayoffLayout:
+    """Both nested terms fold in sequence whatever the payoff's layout."""
+
+    @pytest.mark.parametrize("evppi", [False, True], ids=["evpi", "evppi"])
+    @pytest.mark.parametrize("count", [1, 2, 3, 9])
+    def test_bits_do_not_depend_on_layout(self, tie_setup, evppi, count):
+        _, prior, factored = tie_setup
+        results = []
+        for layout in ("C", "F", "strided"):
+            model = _decisions(count, layout)
+            flags = model.payoff_matrix(np.zeros((4, 5))).flags
+            # payoff_matrix hands the layout on as the payoff returned it
+            held = {"C": flags.c_contiguous, "F": flags.f_contiguous}
+            assert held.get(layout, not flags.forc)
+            if evppi:
+                result = evppi_nested(
+                    model, factored, prior, outer_draws=300, inner_draws=37,
+                    baseline_draws=5000, rng=RngStream(45, (count,)),
+                )
+            else:
+                result = evpi_nested(
+                    model, prior, outer_draws=3000, baseline_draws=5000,
+                    rng=RngStream(45, (count,)),
+                )
+            results.append((result.estimate.hex(), result.term_variance.hex()))
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+
 class TestConcurrentBaseline:
     """The baseline term runs on a helper thread beside the outer term."""
 
     @pytest.mark.parametrize("evppi", [False, True], ids=["evpi", "evppi"])
     @pytest.mark.parametrize("outer, baseline", [(200, 333), (64, 128), (1, 65), (130, 1)])
-    @pytest.mark.parametrize("decisions", [2, 3], ids=["tie", "three-decision"])
+    @pytest.mark.parametrize(
+        "decisions", [1, 2, 3], ids=["one-decision", "tie", "three-decision"]
+    )
     def test_bits_match_serial_reference(
         self, tie_setup, monkeypatch, evppi, outer, baseline, decisions
     ):
         # a 64-row chunk makes both terms span several chunks, most of them
-        # ending on a partial one
+        # ending on a partial one; numpy's own sum would fold the one-decision
+        # baseline pairwise, the reference folds it in sequence
         monkeypatch.setattr(estimators, "_NESTED_CHUNK", 64)
         model, prior, factored = tie_setup
-        if decisions == 3:
-            model = three_decision_model()
+        if decisions != 2:
+            model = {1: single_decision_model(), 3: three_decision_model()}[decisions]
         run, serial = _nested_calls(
             model, prior, factored if evppi else None,
             outer_draws=outer, baseline_draws=baseline, rng=RngStream(41, (outer,)),

@@ -274,10 +274,21 @@ class TestGaussianKernel:
         z = gen.standard_normal((size, self.MEANS.shape[0]))
         return self.MEANS + self.STDS * z
 
-    @pytest.mark.parametrize("size", [1, 7, 4096])
-    def test_bitwise_equal_to_out_of_place_formula(self, size):
-        got = _gaussian_draws(RngStream(61).generator(), size, self.MEANS, self.STDS)
-        want = self._reference(RngStream(61).generator(), size)
+    # from 1024 rows on, whole 64-row blocks are scaled apart from the last
+    # size % 64 rows: sizes on both sides of that bound and of a block
+    # boundary, at every width the bundled models ask for, 0 being the hidden
+    # block of a full reveal
+    @pytest.mark.parametrize("width", [0, 1, 3, 5])
+    @pytest.mark.parametrize(
+        "size", [0, 1, 63, 64, 65, 1023, 1024, 1025, 1087, 1088, 1089, 65543]
+    )
+    def test_bitwise_equal_to_out_of_place_formula(self, size, width):
+        means = np.linspace(-1.25, 3.0, width)
+        stds = np.linspace(0.1, 7.3, width)
+        got = _gaussian_draws(RngStream(61, (size,)).generator(), size, means, stds)
+        z = RngStream(61, (size,)).generator().standard_normal((size, width))
+        want = means + stds * z
+        assert got.shape == (size, width)
         assert got.tobytes() == want.tobytes()
 
     def test_result_aliases_no_parameter(self):

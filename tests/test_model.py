@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,29 @@ class TestSamplers:
         hidden = factored.draw_conditional(revealed, RngStream(1).generator(), 2)
         out = factored.combine(revealed, hidden)
         assert out.tolist() == [[10.0, 20.0, 30.0]] * 2
+
+    @pytest.mark.parametrize(
+        "revealed, hidden",
+        [
+            ((3, 2), (7, 3)),  # 7 hidden rows do not split over 3 revealed rows
+            ((2, 2), (3, 3)),
+            ((0, 2), (3, 3)),  # hidden rows for no revealed row
+            ((2, 2), (4, 2)),  # too few hidden columns
+            ((2, 2), (4, 4)),
+            ((2, 3), (4, 3)),  # too many revealed columns
+            ((2,), (4, 3)),
+            ((2, 2), (12,)),
+        ],
+        ids=str,
+    )
+    def test_combine_refuses_mismatched_blocks(self, tie_model, revealed, hidden):
+        _, _, factored = tie_model
+        message = (
+            f"cannot combine a revealed block of shape {revealed} with hidden "
+            f"rows of shape {hidden}; expected (n, 2) and (n*k, 3)"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            factored.combine(np.zeros(revealed), np.zeros(hidden))
 
     @pytest.mark.parametrize(
         "revealed", [(0,), (4,), (2, 2), (1.5,), (True,)], ids=repr
