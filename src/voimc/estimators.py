@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -371,6 +370,8 @@ def _nested(
     joined before this returns or raises; an error of the outer term stops it
     at its next chunk and wins, as it would if the outer term ran first.
     """
+    from concurrent.futures import ThreadPoolExecutor  # not loaded by `import voimc`
+
     _check_draw("an outer draw", inner, model.dimension)
     baseline_gen = rng.child(1).generator()
     gens = [rng.child(k).generator() for k in streams]
@@ -384,7 +385,9 @@ def _nested(
             for n in _chunks(outer, inner, _NESTED_CHUNK):
                 payoffs = model.payoff_matrix(rows(*gens, n, inner))
                 sums = _fold_sum(payoffs.reshape(n, inner, -1), 1)
-                moments.add_many(_best(sums / inner))
+                if inner > 1:  # a sum over one row is its mean, bit for bit
+                    sums /= inner
+                moments.add_many(_best(sums))
         except BaseException:
             stop.set()
             raise
@@ -478,7 +481,6 @@ def _run(
     budget = _check_int(budget, "budget", 1)
     _check_choice(budget_rule, "budget_rule", _BUDGET_RULES)
     n_parts = len(parts)
-    level_rng = rng.child(0).generator()
     if budget_rule == "expected":
         draw_cost = n_parts * dist.expected_cost()
         n = math.floor(budget / draw_cost)
@@ -488,13 +490,18 @@ def _run(
                 f"({draw_cost:.6g}); the expected budget rule needs a budget of "
                 f"at least {math.ceil(draw_cost)}"
             )
+    elif budget < n_parts * dist.cost(1):
+        raise ValueError(
+            f"budget must be at least {n_parts * dist.cost(1)}, the cost of one "
+            "level-1 draw"
+        )
+    # every draw is at least a level-1 draw, so a level law whose level 1 is
+    # too large is refused before any stream is built
+    _check_draw("a level-1 draw", dist.cost(1), model.dimension)
+    level_rng = rng.child(0).generator()
+    if budget_rule == "expected":
         counts = dist.level_counts(level_rng, n)
     else:  # "prefix"
-        if budget < n_parts * dist.cost(1):
-            raise ValueError(
-                f"budget must be at least {n_parts * dist.cost(1)}, the cost of one "
-                "level-1 draw"
-            )
         # a draw costs n_parts * base**l: the plain rule over budget // n_parts
         counts = prefix_level_counts(dist, budget // n_parts, level_rng)
         n = int(counts.sum())

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -254,6 +253,9 @@ def _resolve_model(plan: ExperimentPlan):
 def run_plan(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
     """Execute a plan; deterministic for a fixed seed at any worker count.
 
+    ``workers`` > 1 runs the cells in a process pool; only then are
+    ``concurrent.futures.process`` and ``multiprocessing`` imported, so a
+    serial run loads neither.
     Raises ValueError unless ``workers`` is a positive integer, and
     BudgetExhaustedError when every replication of some budget ran out before
     its first draw.
@@ -267,6 +269,8 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
     if workers == 1:
         outcomes = list(map(cell, budgets, replications))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(budgets) // (8 * workers))
             outcomes = list(pool.map(cell, budgets, replications, chunksize=chunk))

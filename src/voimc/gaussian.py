@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import DecisionModel, FactoredSampler, PriorSampler, _coordinates
+from .model import DecisionModel, FactoredSampler, PriorSampler, _columns, _coordinates
 
 __all__ = [
     "GaussianLinearModel",
@@ -135,8 +135,7 @@ def make_gaussian_model(
         draw_fn=lambda rng, size: _gaussian_draws(rng, size, mu, sd),
     )
 
-    r_idx = np.asarray([ix - 1 for ix in revealed], dtype=np.intp)
-    h_idx = np.setdiff1d(np.arange(config.dimension, dtype=np.intp), r_idx)
+    r_idx, h_idx = _columns(config.dimension, revealed)
     factored = FactoredSampler(
         dimension=config.dimension,
         revealed=revealed,

@@ -65,6 +65,16 @@ def _coordinates(dimension: int, revealed) -> tuple[int, ...]:
     return revealed
 
 
+def _columns(dimension: int, revealed) -> tuple[np.ndarray, np.ndarray]:
+    """0-based revealed columns, in the order given, and hidden columns, the
+    rest in increasing order.  A plain complement: ``np.setdiff1d`` would load
+    ``numpy.ma`` (numpy 2.4) in every process that builds a model."""
+    r_idx = np.asarray([ix - 1 for ix in revealed], dtype=np.intp)
+    hidden = np.ones(dimension, dtype=bool)
+    hidden[r_idx] = False
+    return r_idx, np.flatnonzero(hidden)
+
+
 def _checked(out, shape: tuple[int, ...], what: str) -> np.ndarray:
     """A callback's ``out`` as float64; ValueError naming ``what`` if not ``shape``."""
     out = np.asarray(out, dtype=np.float64)
@@ -164,8 +174,7 @@ class FactoredSampler:
         _check_int(self.dimension, "dimension", 1)
         revealed = _coordinates(self.dimension, self.revealed)
         object.__setattr__(self, "revealed", revealed)
-        r_idx = np.asarray([ix - 1 for ix in revealed], dtype=np.intp)
-        h_idx = np.setdiff1d(np.arange(self.dimension, dtype=np.intp), r_idx)
+        r_idx, h_idx = _columns(self.dimension, revealed)
         object.__setattr__(self, "_revealed_idx", r_idx)
         object.__setattr__(self, "_hidden_idx", h_idx)
 

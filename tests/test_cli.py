@@ -339,16 +339,55 @@ def test_module_entry_point_runs():
     assert "estimate" in proc.stdout and "study" in proc.stdout
 
 
-@pytest.mark.parametrize(
-    "command",
-    [["-c", "import voimc"], ["-m", "voimc", "--help"]],
-    ids=["import", "help"],
+_BENCHMARK_MODEL = str(
+    Path(__file__).resolve().parents[1] / "scripts" / "benchmark_model.json"
 )
-def test_runtime_imports_no_scipy(command):
-    # scipy is a test dependency only; `-X importtime` lists every module a
-    # fresh interpreter imports, on stderr
+
+# Modules a run loads only when it uses them: numpy.ma (np.setdiff1d and
+# np.quantile pull it in), the executors, and the process pool's multiprocessing.
+_LAZY = ("numpy.ma", "concurrent.futures", "multiprocessing")
+
+_ONE_MLMC_CALL = """
+import sys, voimc
+config, subset = voimc.load_model_config(sys.argv[1])
+model, prior, _ = voimc.make_gaussian_model(config, subset)
+dist = voimc.LevelDistribution(2, voimc.optimal_ratio(2, 1))
+voimc.evpi_mlmc(model, prior, dist, 1024, "coupled", voimc.RngStream(1))
+"""
+
+_SERIAL_STUDY = """
+import sys, voimc
+plan = voimc.ExperimentPlan("evppi-nested", (64, 256), 2, sys.argv[1], seed=3)
+voimc.run_plan(plan, workers=1)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, code, absent",
+    [
+        (["-c", "import voimc"], 0, _LAZY),
+        (["-m", "voimc", "--help"], 0, _LAZY),
+        (["-c", _ONE_MLMC_CALL, _BENCHMARK_MODEL], 0, _LAZY),
+        # a serial study still loads numpy.ma (summarize's np.quantile) and,
+        # for a nested estimator, the thread executor
+        (["-c", _SERIAL_STUDY, _BENCHMARK_MODEL], 0, ("multiprocessing",)),
+        # every level of this law is above the per-draw bound: refused before
+        # any random stream is built
+        (
+            ["-m", "voimc", "estimate", "--estimator", "evpi-coupled"]
+            + ["--model", _BENCHMARK_MODEL, "--budget", "268435456"]
+            + ["--b", "67108864", "--r", "1e-8"],
+            2,
+            _LAZY + ("numpy.random",),
+        ),
+    ],
+    ids=["import", "help", "evpi-mlmc", "serial-study", "oversized-level"],
+)
+def test_runtime_import_footprint(command, code, absent):
+    # a run loads only what it uses, and scipy is a test dependency only;
+    # `-X importtime` lists every module a fresh interpreter imports, on stderr
     proc = _fresh_python("-X", "importtime", *command)
-    assert proc.returncode == 0
+    assert proc.returncode == code, proc.stderr[-2000:]
     imported = [
         line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines()
@@ -356,6 +395,8 @@ def test_runtime_imports_no_scipy(command):
     ]
     assert "voimc" in imported
     assert not [name for name in imported if name.split(".")[0] == "scipy"]
+    packages = tuple(module + "." for module in absent)
+    assert not [name for name in imported if (name + ".").startswith(packages)]
 
 
 @pytest.mark.parametrize(

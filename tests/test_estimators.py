@@ -1058,19 +1058,38 @@ class TestMlmcEstimators:
                         budget_rule=rule,
                     )
 
-    def test_oversized_draw_refused_before_sampling(self, tie_setup):
+    @pytest.mark.parametrize("budget_rule", ["expected", "prefix"])
+    def test_oversized_draw_refused_before_sampling(
+        self, tie_setup, monkeypatch, budget_rule
+    ):
         model, _, factored = tie_setup
 
         def never(_rng, _size):
             pytest.fail("sampled a draw above the per-draw memory bound")
 
+        def no_stream(_stream):
+            pytest.fail("built a generator for a run whose every draw is refused")
+
         prior = PriorSampler(dimension=5, draw_fn=never)
+        monkeypatch.setattr(RngStream, "generator", no_stream)
         # every level costs at least 2**26 samples: 2**26 * 5 * 8 bytes > 2**30
         huge = LevelDistribution(2**26, 2.0**-27)
-        with pytest.raises(MemoryError, match="per-draw bound"):
-            evpi_mlmc(model, prior, huge, 2**28, "single", RngStream(0))
-        with pytest.raises(MemoryError, match="per-draw bound"):
-            evppi_mlmc(model, factored, prior, huge, 2**29, rng=RngStream(0))
+        with pytest.raises(MemoryError, match="a level-1 draw .* per-draw bound"):
+            evpi_mlmc(
+                model, prior, huge, 2**28, "single", RngStream(0),
+                budget_rule=budget_rule,
+            )
+        with pytest.raises(MemoryError, match="a level-1 draw .* per-draw bound"):
+            evppi_mlmc(
+                model, factored, prior, huge, 2**29, rng=RngStream(0),
+                budget_rule=budget_rule,
+            )
+        # a budget below one draw is still refused first, with its own message
+        with pytest.raises(ValueError, match="budget"):
+            evpi_mlmc(
+                model, prior, huge, 2**25, "single", RngStream(0),
+                budget_rule=budget_rule,
+            )
 
     @staticmethod
     def _peak_before_first_sample(run) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -12,6 +13,8 @@ from voimc import (
     RngStream,
     make_gaussian_model,
 )
+
+from voimc.model import _columns
 
 from support import TIE_CONFIG
 
@@ -157,6 +160,21 @@ class TestSamplers:
         # variance of s^2 for normal data is 2 sigma^4 / (n-1)
         se_var = sd**2 * np.sqrt(2.0 / (n - 1))
         assert (np.abs(full.var(axis=0, ddof=1) - sd**2) < 4 * se_var).all()
+
+    def test_columns_match_setdiff1d(self):
+        # every ordered revealed subset up to dimension 6, the full and the
+        # empty one included, against numpy's set difference as the reference
+        for dimension in range(1, 7):
+            for size in range(dimension + 1):
+                for revealed in itertools.permutations(range(1, dimension + 1), size):
+                    r_idx, h_idx = _columns(dimension, revealed)
+                    reference = np.setdiff1d(
+                        np.arange(dimension, dtype=np.intp),
+                        np.asarray([ix - 1 for ix in revealed], dtype=np.intp),
+                    )
+                    assert r_idx.tolist() == [ix - 1 for ix in revealed]
+                    assert r_idx.dtype == h_idx.dtype == reference.dtype
+                    assert np.array_equal(h_idx, reference), (dimension, revealed)
 
     def test_combine_places_blocks(self, tie_model):
         _, _, factored = tie_model
