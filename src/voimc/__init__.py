@@ -7,52 +7,48 @@ Result types and helpers that callers only receive or that serve the
 library itself (`EstimateResult`, `ConvergenceReport`, `nested_allocation`,
 `fit_slope`, ...) stay importable from their modules."""
 
-from .estimators import evpi_mlmc, evpi_nested, evppi_mlmc, evppi_nested
-from .experiment import ESTIMATOR_NAMES, ExperimentPlan, render_csv, run_plan
-from .gaussian import (
-    ConfigError,
-    GaussianLinearModel,
-    analytic_evppi,
-    load_model_config,
-    make_gaussian_model,
-)
-from .levels import (
-    BudgetExhaustedError,
-    LevelDistribution,
-    draws_for_budget,
-    optimal_ratio,
-)
-from .model import (
-    DecisionModel,
-    FactoredSampler,
-    PayoffEvaluationError,
-    PriorSampler,
-)
-from .rng import RngStream
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExhaustedError",
-    "ConfigError",
-    "DecisionModel",
-    "ESTIMATOR_NAMES",
-    "ExperimentPlan",
-    "FactoredSampler",
-    "GaussianLinearModel",
-    "LevelDistribution",
-    "PayoffEvaluationError",
-    "PriorSampler",
-    "RngStream",
-    "analytic_evppi",
-    "draws_for_budget",
-    "evpi_mlmc",
-    "evpi_nested",
-    "evppi_mlmc",
-    "evppi_nested",
-    "load_model_config",
-    "make_gaussian_model",
-    "optimal_ratio",
-    "render_csv",
-    "run_plan",
-]
+# Each public name and the module that defines it.  A name is imported on
+# first use (PEP 562), so `import voimc` loads no submodule and no numpy.
+_MODULE_OF = {
+    "BudgetExhaustedError": "levels",
+    "ConfigError": "gaussian",
+    "DecisionModel": "model",
+    "ESTIMATOR_NAMES": "validate",
+    "ExperimentPlan": "experiment",
+    "FactoredSampler": "model",
+    "GaussianLinearModel": "gaussian",
+    "LevelDistribution": "levels",
+    "PayoffEvaluationError": "model",
+    "PriorSampler": "model",
+    "RngStream": "rng",
+    "analytic_evppi": "gaussian",
+    "draws_for_budget": "levels",
+    "evpi_mlmc": "estimators",
+    "evpi_nested": "estimators",
+    "evppi_mlmc": "estimators",
+    "evppi_nested": "estimators",
+    "load_model_config": "gaussian",
+    "make_gaussian_model": "gaussian",
+    "optimal_ratio": "levels",
+    "render_csv": "experiment",
+    "run_plan": "experiment",
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

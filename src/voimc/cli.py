@@ -8,6 +8,12 @@ its first draw.
 
 The CSV records the revealed subset as ``#CONFIG,subset``: ``--subset`` if
 given, otherwise the model file's ``subset``, in increasing order.
+
+The library, and numpy with it, loads only once a command computes
+something: ``--help``, every refusal argparse makes, and a ``study``
+``--workers`` below 1 exit before it loads.  The worker count is therefore
+checked before the other arguments, the model file and ``--out``; of two
+faults in one command, a bad worker count is the one reported.
 """
 
 from __future__ import annotations
@@ -16,13 +22,7 @@ import argparse
 import os
 import sys
 
-from .experiment import (
-    ESTIMATOR_NAMES,
-    ExperimentPlan,
-    render_csv,
-    run_plan,
-)
-from .levels import BudgetExhaustedError
+from .validate import ESTIMATOR_NAMES, _check_int
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -85,6 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_plan(args, budgets: tuple[int, ...], reps: int) -> ExperimentPlan:
+    from .experiment import ExperimentPlan
+
     return ExperimentPlan(
         estimator=args.estimator,
         budgets=budgets,
@@ -103,6 +105,8 @@ def _run_and_write(plan: ExperimentPlan, out, workers: int = 1, echo: bool = Fal
     ``out`` is opened (for appending) before the run; if the run fails, an
     existing file keeps its bytes and a file created here is removed.
     """
+    from .experiment import render_csv, run_plan
+
     if out is None:
         report = run_plan(plan, workers=workers)
         if echo:
@@ -146,19 +150,29 @@ def _cmd_study(args) -> int:
     return 0
 
 
+def _error(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "study":
+        try:
+            _check_int(args.workers, "workers", 1)
+        except ValueError as exc:
+            return _error(exc, 2)
+    from .levels import BudgetExhaustedError
+
     try:
         if args.command == "estimate":
             return _cmd_estimate(args)
         return _cmd_study(args)
     except (ValueError, MemoryError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     except BudgetExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
 
 
 if __name__ == "__main__":  # pragma: no cover

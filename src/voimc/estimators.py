@@ -51,8 +51,8 @@ import numpy as np
 
 from .levels import BudgetExhaustedError, LevelDistribution, prefix_level_counts
 from .model import DecisionModel, FactoredSampler, PriorSampler
-from .model import _check_choice, _check_int
 from .rng import RngStream
+from .validate import _check_choice, _check_int
 
 __all__ = [
     "LevelStats",
@@ -227,17 +227,22 @@ def _terms(
     # 1/tail(j) as (1/pmf(j)) * pmf(1): exact for the geometric law, and it
     # makes the level-1 coupled term bitwise pmf(1) times the single term
     head = dist.pmf(1)
-    best = _best(payoffs)
+    # the single term reads only the gap at base**level, so it skips the
+    # best block means below base**(level - 1) and every smaller gap
+    coupled = variant == "coupled"
+    best = _best(payoffs) if coupled or level == 1 else None
     for j in range(1, level + 1):
         payoffs = _fold_blocks(payoffs, base)  # block means at size base**j
-        below, best = best, _best(payoffs)
-        gap = _fold_blocks(below, base) - best
-        if variant == "coupled":
+        if coupled or j >= level - 1:
+            below, best = best, _best(payoffs)
+        if coupled or j == level:
+            gap = _fold_blocks(below, base) - best
+        if coupled:
             weighted = (gap / dist.pmf(j)) * head
             total = weighted if j == 1 else _fold_blocks(total, base) + weighted
     if variant == "single":
         return gap[:, 0] / dist.pmf(level)
-    if variant == "coupled":
+    if coupled:
         return total[:, 0]
     raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 

@@ -32,8 +32,8 @@ from .gaussian import (
     make_gaussian_model,
 )
 from .levels import BudgetExhaustedError, LevelDistribution, optimal_ratio
-from .model import _check_choice, _check_int
 from .rng import RngStream
+from .validate import ESTIMATOR_NAMES, _check_choice, _check_int
 
 __all__ = [
     "ESTIMATOR_NAMES",
@@ -47,16 +47,6 @@ __all__ = [
     "run_replication",
     "render_csv",
 ]
-
-ESTIMATOR_NAMES = (
-    "evpi-nested",
-    "evpi-single",
-    "evpi-coupled",
-    "evppi-nested",
-    "evppi-single",
-    "evppi-coupled",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -253,9 +243,10 @@ def _resolve_model(plan: ExperimentPlan):
 def run_plan(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
     """Execute a plan; deterministic for a fixed seed at any worker count.
 
-    ``workers`` > 1 runs the cells in a process pool; only then are
-    ``concurrent.futures.process`` and ``multiprocessing`` imported, so a
-    serial run loads neither.
+    ``workers`` > 1 runs the cells in a process pool of at most one process
+    per cell (a pool forks all its processes at its first task), so a plan of
+    one cell runs serially; only a pool imports
+    ``concurrent.futures.process`` and ``multiprocessing``.
     Raises ValueError unless ``workers`` is a positive integer, and
     BudgetExhaustedError when every replication of some budget ran out before
     its first draw.
@@ -266,6 +257,7 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
     reps = range(1, plan.replications + 1)
     budgets = [budget for budget in plan.budgets for _ in reps]
     replications = [rep for _ in plan.budgets for rep in reps]
+    workers = min(workers, len(budgets))
     if workers == 1:
         outcomes = list(map(cell, budgets, replications))
     else:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _check_int
+from .validate import _check_int
 
 __all__ = [
     "LevelDistribution",

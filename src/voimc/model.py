@@ -24,6 +24,8 @@ from typing import Callable
 
 import numpy as np
 
+from .validate import _check_int
+
 __all__ = [
     "DecisionModel",
     "PriorSampler",
@@ -34,23 +36,6 @@ __all__ = [
 
 class PayoffEvaluationError(ValueError):
     """A payoff evaluated to a non-finite value."""
-
-
-def _check_int(value, name: str, minimum: int) -> int:
-    """``value`` as a Python int; ValueError naming ``name`` unless it is a
-    Python or numpy integer (bools are not) of at least ``minimum``."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        if value >= minimum:
-            return int(value)
-    wanted = {0: "a non-negative integer", 1: "a positive integer"}
-    wanted = wanted.get(minimum, f"an integer >= {minimum}")
-    raise ValueError(f"{name} must be {wanted}, got {value!r}")
-
-
-def _check_choice(value, name: str, choices: tuple) -> None:
-    """ValueError naming ``name`` unless ``value`` is one of ``choices``."""
-    if value not in choices:
-        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def _coordinates(dimension: int, revealed) -> tuple[int, ...]:

@@ -219,7 +219,7 @@ def test_unwritable_out_exits_two(benchmark_model_path, capsys, tmp_path, monkey
     def never(*_args, **_kwargs):
         pytest.fail("ran the plan before opening --out")
 
-    monkeypatch.setattr("voimc.cli.run_plan", never)
+    monkeypatch.setattr("voimc.experiment.run_plan", never)
     out = tmp_path / "missing" / "x.csv"
     for args in (
         ["study", "--estimator", "evpi-nested", "--budgets", "16", "--reps", "1"],
@@ -346,6 +346,11 @@ _BENCHMARK_MODEL = str(
 # Modules a run loads only when it uses them: numpy.ma (np.setdiff1d and
 # np.quantile pull it in), the executors, and the process pool's multiprocessing.
 _LAZY = ("numpy.ma", "concurrent.futures", "multiprocessing")
+# A command that computes nothing loads no numpy at all.
+_NO_LIBRARY = ("numpy", "concurrent.futures", "multiprocessing")
+
+_STUDY = ["-m", "voimc", "study", "--estimator", "evpi-nested"]
+_STUDY += ["--model", "missing.json", "--budgets", "16", "--reps", "1"]
 
 _ONE_MLMC_CALL = """
 import sys, voimc
@@ -365,8 +370,12 @@ voimc.run_plan(plan, workers=1)
 @pytest.mark.parametrize(
     "command, code, absent",
     [
-        (["-c", "import voimc"], 0, _LAZY),
-        (["-m", "voimc", "--help"], 0, _LAZY),
+        (["-c", "import voimc"], 0, _NO_LIBRARY),
+        (["-m", "voimc", "--help"], 0, _NO_LIBRARY),
+        # refused before the library loads, by the library's own check
+        (_STUDY + ["--workers", "0"], 2, _NO_LIBRARY),
+        # refused by argparse
+        (_STUDY + ["--gamma", "1.0"], 2, _NO_LIBRARY),
         (["-c", _ONE_MLMC_CALL, _BENCHMARK_MODEL], 0, _LAZY),
         # a serial study still loads numpy.ma (summarize's np.quantile) and,
         # for a nested estimator, the thread executor
@@ -381,7 +390,15 @@ voimc.run_plan(plan, workers=1)
             _LAZY + ("numpy.random",),
         ),
     ],
-    ids=["import", "help", "evpi-mlmc", "serial-study", "oversized-level"],
+    ids=[
+        "import",
+        "help",
+        "workers-0",
+        "argparse-refusal",
+        "evpi-mlmc",
+        "serial-study",
+        "oversized-level",
+    ],
 )
 def test_runtime_import_footprint(command, code, absent):
     # a run loads only what it uses, and scipy is a test dependency only;
@@ -397,6 +414,16 @@ def test_runtime_import_footprint(command, code, absent):
     assert not [name for name in imported if name.split(".")[0] == "scipy"]
     packages = tuple(module + "." for module in absent)
     assert not [name for name in imported if (name + ".").startswith(packages)]
+
+
+def test_workers_refused_before_other_arguments(tmp_path):
+    # the refusal keeps its bytes, and comes first: the level law (ratio 0.9
+    # is none), the model file and --out, all bad here, are never checked
+    out = tmp_path / "missing" / "x.csv"
+    proc = _fresh_python(*_STUDY, "--r", "0.9", "--out", str(out), "--workers", "0")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: workers must be a positive integer, got 0\n"
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(

@@ -731,7 +731,7 @@ class TestTermsFoldCount:
         monkeypatch.setattr(estimators, "_fold_blocks", counting)
         dist = LevelDistribution(base, optimal_ratio(base, 1))
         payoffs = np.random.default_rng(level).normal(size=(2, base**level, 3))
-        for variant, bound in (("coupled", 3 * level - 1), ("single", 2 * level)):
+        for variant, bound in (("coupled", 3 * level - 1), ("single", level + 1)):
             calls.clear()
             _terms(payoffs, dist, level, variant)
             assert len(calls) <= bound, variant

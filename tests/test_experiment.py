@@ -219,6 +219,29 @@ class TestRunPlan:
                 run_plan(plan, workers=workers)
         assert run_plan(plan, workers=np.int64(1)).records == run_plan(plan).records
 
+    def test_pool_starts_at_most_one_process_per_cell(
+        self, benchmark_model_path, monkeypatch
+    ):
+        # a pool forks all its processes at its first task, so 64 workers on
+        # 2 cells must ask for 2; the stand-in never starts more than 2
+        import concurrent.futures
+
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        two = ExperimentPlan("evpi-coupled", (64, 256), 1, benchmark_model_path, seed=4)
+        assert run_plan(two, workers=64) == run_plan(two)
+        assert sizes == [2]
+        # one cell runs serially: no pool at all
+        one = ExperimentPlan("evpi-coupled", (64,), 1, benchmark_model_path, seed=4)
+        assert run_plan(one, workers=64).records == run_plan(one).records
+        assert sizes == [2]
+
     def test_replication_streams_keyed_by_index_not_order(self, benchmark_model_path):
         # running a superset of budgets must not disturb shared cells
         small = ExperimentPlan(

@@ -6,12 +6,15 @@ blocks show it the same way; a name they use that drops out of
 module checks their sources statically.  It also checks statically that
 no library module but ``__init__.py`` names `draws_for_budget`, which only
 the benchmark uses, that no library module but ``rng.py`` names a random
-generator, and that no library module but ``model.py`` names ``np.integer``,
-so every integer argument goes through ``model._check_int``.
+generator, and that no library module but ``validate.py`` names an integer
+type, so every integer argument goes through ``validate._check_int``.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,6 +70,35 @@ def test_every_export_resolves():
         assert hasattr(voimc, name), name
 
 
+_LAZY_EXPORTS = """
+import sys, voimc
+assert not [m for m in sys.modules if m.startswith(("numpy", "voimc."))], "eager"
+assert set(voimc.__all__) <= set(dir(voimc)), "dir"
+for name in voimc.__all__:
+    getattr(voimc, name)
+try:
+    voimc.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("an unknown name resolved")
+namespace = {}
+exec("from voimc import *", namespace)
+assert set(voimc.__all__) <= set(namespace), "star import"
+"""
+
+
+def test_exports_resolve_lazily_in_a_fresh_interpreter():
+    # `import voimc` loads no submodule; each name loads on first use, `dir`
+    # lists the names before they load, and an unknown name still fails
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_EXPORTS], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 LIBRARY_SOURCES = sorted((ROOT / "src" / "voimc").glob("*.py"))
 
 
@@ -116,8 +148,9 @@ def test_only_rng_module_names_a_bit_generator(path):
     assert not _GENERATOR_NAMES & _named(path.read_text())
 
 
-@_sources_but("model.py")
-def test_only_model_module_checks_integers(path):
+@_sources_but("validate.py")
+def test_only_validate_module_checks_integers(path):
     # `_check_int` is the one integer-argument check; a second, hand-rolled
-    # ``isinstance(value, np.integer)`` check would name `integer`
-    assert "integer" not in _named(path.read_text())
+    # ``isinstance(value, np.integer)`` or ``numbers.Integral`` check would
+    # name `integer` or `Integral`
+    assert not {"integer", "Integral"} & _named(path.read_text())
