@@ -42,6 +42,8 @@ estimates agree in value either way.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import threading
 from collections.abc import Callable, Iterator
@@ -78,6 +80,12 @@ _BATCH_ROWS = 2**14
 
 # Largest sample batch the nested estimators draw and evaluate at once.
 _NESTED_CHUNK = 65536
+
+# Largest nested call, in payoff rows (outer*inner + baseline), that runs its
+# baseline term on the calling thread after the outer term.  Up to here a
+# helper thread costs about as much as it saves, and more when the other
+# cores are busy, as they are in a pooled study.
+_INLINE_ROWS = 2**14
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +265,8 @@ def _terms(
 # one generator per kind of sample.  Streams below a call's root ``rng``:
 #
 #   nested      child(0)     outer samples: prior rows (evpi) or revealed blocks
-#               child(1)     baseline prior rows, on the helper thread
+#               child(1)     baseline prior rows (on the helper thread
+#                            above `_INLINE_ROWS` payoff rows)
 #               child(2)     conditional rows (evppi)
 #   multilevel  child(0)     the number of draws at each level, drawn first
 #               child(1, l)  prior rows of every draw at level l
@@ -367,24 +376,30 @@ def _nested(
     ``inner`` rows, minus the baseline term.
 
     ``rows`` samples them from ``rng.child(k)``, k in ``streams``, in chunks
-    of whole draws of at most ``_NESTED_CHUNK`` rows.  The baseline term,
+    of whole draws of at most ``_NESTED_CHUNK`` rows.  The baseline term is
     `_accumulate_best_means` over ``baseline`` prior samples from
-    ``rng.child(1)``, runs on one helper thread while this thread folds the
-    outer term.  Each term is a sequential fold over its own streams, so the
-    bits are those of computing one term after the other.  The helper is
-    joined before this returns or raises; an error of the outer term stops it
-    at its next chunk and wins, as it would if the outer term ran first.
+    ``rng.child(1)``.  A call of at most ``_INLINE_ROWS`` payoff rows runs it
+    on this thread after the outer term; a larger call runs it on one helper
+    thread while this thread folds the outer term.  Each term is a sequential
+    fold over its own streams, so the bits are those of computing one term
+    after the other either way.  The helper is joined before this returns or
+    raises; an error of the outer term stops it at its next chunk and wins,
+    as it does when the outer term runs first.
     """
-    from concurrent.futures import ThreadPoolExecutor  # not loaded by `import voimc`
-
     _check_draw("an outer draw", inner, model.dimension)
     baseline_gen = rng.child(1).generator()
     gens = [rng.child(k).generator() for k in streams]
     stop = threading.Event()
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        best_means = helper.submit(
-            _accumulate_best_means, model, prior, baseline, baseline_gen, stop
-        )
+    best_means = functools.partial(
+        _accumulate_best_means, model, prior, baseline, baseline_gen, stop
+    )
+    with contextlib.ExitStack() as joined:
+        if outer * inner + baseline > _INLINE_ROWS:
+            # not loaded by `import voimc`, nor by a call below the gate
+            from concurrent.futures import ThreadPoolExecutor
+
+            helper = joined.enter_context(ThreadPoolExecutor(max_workers=1))
+            best_means = helper.submit(best_means).result
         moments = _RunningMoments()
         try:
             for n in _chunks(outer, inner, _NESTED_CHUNK):
@@ -397,7 +412,7 @@ def _nested(
             stop.set()
             raise
         return EstimateResult(
-            estimate=float(moments.mean - best_means.result()),
+            estimate=float(moments.mean - best_means()),
             n_draws=moments.count,
             cost_used=outer * inner + baseline,
             term_variance=moments.sample_variance,
@@ -418,8 +433,10 @@ def evpi_nested(
     subtracts the best per-decision mean over an independent batch of
     ``baseline_draws``.  The first term is unbiased; the subtracted term
     over-estimates its target at any finite size, so the whole estimator is
-    biased low.  Cost: outer_draws + baseline_draws.  The two terms are
-    evaluated concurrently, the subtracted one on a helper thread.  They
+    biased low.  Cost: outer_draws + baseline_draws.  A call above 2**14
+    evaluations runs the subtracted term on a helper thread, concurrently
+    with the first; a smaller one runs the two in turn on the calling
+    thread, where a helper would cost more than it saves.  The terms
     average through different reductions, so on constant payoffs they cancel
     only to rounding, not to the exact 0.0 of the multilevel estimators; so
     do the terms of `evppi_nested`.  Every draw count of either nested
@@ -446,11 +463,12 @@ def evppi_nested(
 
     For each of ``outer_draws`` revealed-block samples, takes the best
     decision of an ``inner_draws``-sample conditional mean, averages those
-    bests, and subtracts the baseline term of `evpi_nested`, evaluated
-    concurrently as there.  Both terms carry finite-sample Jensen bias.
-    Cost: outer_draws*inner_draws + baseline_draws.  Raises MemoryError before
-    sampling when one outer draw's inner rows would need more than 2**30
-    bytes (inner_draws * dimension * 8).
+    bests, and subtracts the baseline term of `evpi_nested`, evaluated as
+    there: on a helper thread above 2**14 evaluations.  Both terms carry
+    finite-sample Jensen bias.  Cost: outer_draws*inner_draws +
+    baseline_draws.  Raises MemoryError before sampling when one outer
+    draw's inner rows would need more than 2**30 bytes (inner_draws *
+    dimension * 8).
     """
     return _nested(
         model, prior, _conditional_rows(factored), (0, 2),

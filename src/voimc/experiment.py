@@ -122,12 +122,38 @@ class ConvergenceReport:
     subset: tuple[int, ...] | None
 
 
+def _quartiles(values: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, [0, .25, .5, .75, 1])`` bit for bit: numpy
+    2.4's linear method, with its ``kth`` set built as a sorted list, since
+    the ``np.unique`` that numpy builds it with loads ``numpy.ma``.
+
+    The same partition of a copy, the same neighbours (both the last entry
+    from the last index on) and the same two-sided lerp; a NaN, partitioned
+    last, makes every quantile NaN.
+    """
+    last = values.shape[0] - 1
+    virtual = last * np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    below = np.floor(virtual).astype(np.intp)
+    above = below + 1
+    top = virtual >= last
+    below[top] = above[top] = -1
+    arr = values.copy()
+    arr.partition(sorted({0, -1, *below.tolist(), *above.tolist()}))
+    lo, hi, t = arr[below], arr[above], virtual - below
+    diff = hi - lo
+    qs = lo + diff * t
+    np.subtract(hi, diff * (1 - t), out=qs, where=t >= 0.5)
+    if np.isnan(arr[-1]):
+        qs[:] = arr[-1]
+    return qs
+
+
 def summarize(estimates, truth: float) -> BudgetSummary:
     """Quantiles (linear interpolation, type-7), mean, and RMSE against truth."""
     values = np.asarray(list(estimates), dtype=np.float64)
     if values.size == 0:
         raise ValueError("need at least one estimate to summarize")
-    qs = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
+    qs = _quartiles(values)
     rmse = math.sqrt(float(np.mean((values - truth) ** 2)))
     return BudgetSummary(
         minimum=float(qs[0]),
@@ -246,7 +272,9 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
     ``workers`` > 1 runs the cells in a process pool of at most one process
     per cell (a pool forks all its processes at its first task), so a plan of
     one cell runs serially; only a pool imports
-    ``concurrent.futures.process`` and ``multiprocessing``.
+    ``concurrent.futures.process`` and ``multiprocessing``.  The pool is sent
+    the cells largest budget first, so its last chunks are the shortest, and
+    the outcomes are put back in plan order.
     Raises ValueError unless ``workers`` is a positive integer, and
     BudgetExhaustedError when every replication of some budget ran out before
     its first draw.
@@ -263,9 +291,13 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
     else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
+        # a plan's budgets increase, so reversed cells go largest budget
+        # first and the pool ends on its cheapest chunks; reversing the
+        # outcomes puts them back in plan order
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(budgets) // (8 * workers))
-            outcomes = list(pool.map(cell, budgets, replications, chunksize=chunk))
+            sent = pool.map(cell, budgets[::-1], replications[::-1], chunksize=chunk)
+            outcomes = list(sent)[::-1]
 
     records: dict[int, tuple[ReplicateRecord, ...]] = {}
     per_budget: dict[int, BudgetSummary] = {}

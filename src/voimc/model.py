@@ -8,13 +8,14 @@ marginal / conditional factorization.
 
 Everything here is immutable and payoff evaluation is pure, so models and
 samplers may be shared freely across workers as long as each worker owns its
-own random stream.  The nested estimators evaluate their baseline term on one
-helper thread while the calling thread runs the outer term, so a
-user-supplied ``payoff``, ``draw_fn``, ``marginal_fn`` or ``conditional_fn``
-may run on two threads at once and must be thread-safe (pure functions are).
-Each thread draws from its own stream, so the output bits do not depend on
-this.  Payoffs are assumed square-integrable under the prior; that assumption
-is documented, not enforced.
+own random stream.  A nested estimator call of more than 2**14 payoff rows
+evaluates its baseline term on one helper thread while the calling thread
+runs the outer term, so a user-supplied ``payoff``, ``draw_fn``,
+``marginal_fn`` or ``conditional_fn`` may run on two threads at once and
+must be thread-safe (pure functions are); a smaller call runs both terms on
+the calling thread.  Each term draws from its own stream, so the output bits
+do not depend on this.  Payoffs are assumed square-integrable under the
+prior; that assumption is documented, not enforced.
 """
 
 from __future__ import annotations

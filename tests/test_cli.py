@@ -343,8 +343,9 @@ _BENCHMARK_MODEL = str(
     Path(__file__).resolve().parents[1] / "scripts" / "benchmark_model.json"
 )
 
-# Modules a run loads only when it uses them: numpy.ma (np.setdiff1d and
-# np.quantile pull it in), the executors, and the process pool's multiprocessing.
+# Modules a run loads only when it uses them: numpy.ma (np.setdiff1d,
+# np.unique and np.quantile pull it in), the executors, and the process pool's
+# multiprocessing.
 _LAZY = ("numpy.ma", "concurrent.futures", "multiprocessing")
 # A command that computes nothing loads no numpy at all.
 _NO_LIBRARY = ("numpy", "concurrent.futures", "multiprocessing")
@@ -360,10 +361,21 @@ dist = voimc.LevelDistribution(2, voimc.optimal_ratio(2, 1))
 voimc.evpi_mlmc(model, prior, dist, 1024, "coupled", voimc.RngStream(1))
 """
 
-_SERIAL_STUDY = """
+# one nested call of each kind at the helper-thread gate, 2**14 payoff rows
+_NESTED_AT_GATE = """
+import sys, voimc
+config, subset = voimc.load_model_config(sys.argv[1])
+model, prior, factored = voimc.make_gaussian_model(config, subset)
+voimc.evpi_nested(model, prior, outer_draws=2**13, baseline_draws=2**13,
+                  rng=voimc.RngStream(1))
+voimc.evppi_nested(model, factored, prior, outer_draws=2**11, inner_draws=4,
+                   baseline_draws=2**13, rng=voimc.RngStream(2))
+"""
+
+_STUDY_RUN = """
 import sys, voimc
 plan = voimc.ExperimentPlan("evppi-nested", (64, 256), 2, sys.argv[1], seed=3)
-voimc.run_plan(plan, workers=1)
+voimc.run_plan(plan, workers=int(sys.argv[2]))
 """
 
 
@@ -377,9 +389,13 @@ voimc.run_plan(plan, workers=1)
         # refused by argparse
         (_STUDY + ["--gamma", "1.0"], 2, _NO_LIBRARY),
         (["-c", _ONE_MLMC_CALL, _BENCHMARK_MODEL], 0, _LAZY),
-        # a serial study still loads numpy.ma (summarize's np.quantile) and,
-        # for a nested estimator, the thread executor
-        (["-c", _SERIAL_STUDY, _BENCHMARK_MODEL], 0, ("multiprocessing",)),
+        # a nested call up to the gate starts no helper thread
+        (["-c", _NESTED_AT_GATE, _BENCHMARK_MODEL], 0, _LAZY),
+        # a serial study of small nested calls runs each baseline term on the
+        # calling thread, and its summaries take quantiles without numpy.ma
+        (["-c", _STUDY_RUN, _BENCHMARK_MODEL, "1"], 0, _LAZY),
+        # the parent of a pooled study loads the pool, but still no numpy.ma
+        (["-c", _STUDY_RUN, _BENCHMARK_MODEL, "2"], 0, ("numpy.ma",)),
         # every level of this law is above the per-draw bound: refused before
         # any random stream is built
         (
@@ -396,7 +412,9 @@ voimc.run_plan(plan, workers=1)
         "workers-0",
         "argparse-refusal",
         "evpi-mlmc",
+        "nested-at-gate",
         "serial-study",
+        "pooled-study",
         "oversized-level",
     ],
 )

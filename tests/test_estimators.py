@@ -38,6 +38,7 @@ from voimc.estimators import (
     nested_allocation,
 )
 
+from finite_support import finite_support_model, finite_support_oracle
 from support import (
     OFFSET_CONFIG,
     TIE_CONFIG,
@@ -48,8 +49,6 @@ from support import (
     conditional_plugin_mean,
     conditional_term,
     constant_model,
-    finite_support_model,
-    finite_support_oracle,
     icbrt,
     level_correction_mean,
     per_draw_run,
@@ -62,6 +61,7 @@ from support import (
 )
 
 DIST = LevelDistribution(2, optimal_ratio(2, 1))
+
 
 
 @pytest.fixture(scope="module")
@@ -375,8 +375,19 @@ class TestNestedPayoffLayout:
         assert results[2] == results[0]
 
 
+@pytest.fixture(params=["inline", "threaded"])
+def nested_path(request, monkeypatch):
+    """Send every nested call down one path: the baseline term on the calling
+    thread after the outer term, or on the helper thread beside it."""
+    inline_rows = 2**62 if request.param == "inline" else 0
+    monkeypatch.setattr(estimators, "_INLINE_ROWS", inline_rows)
+    return request.param
+
+
 class TestConcurrentBaseline:
-    """The baseline term runs on a helper thread beside the outer term."""
+    """The baseline term runs on a helper thread beside the outer term when a
+    call has more than ``_INLINE_ROWS`` payoff rows, and after it on the
+    calling thread otherwise."""
 
     @pytest.mark.parametrize("evppi", [False, True], ids=["evpi", "evppi"])
     @pytest.mark.parametrize("outer, baseline", [(200, 333), (64, 128), (1, 65), (130, 1)])
@@ -384,7 +395,7 @@ class TestConcurrentBaseline:
         "decisions", [1, 2, 3], ids=["one-decision", "tie", "three-decision"]
     )
     def test_bits_match_serial_reference(
-        self, tie_setup, monkeypatch, evppi, outer, baseline, decisions
+        self, tie_setup, monkeypatch, nested_path, evppi, outer, baseline, decisions
     ):
         # a 64-row chunk makes both terms span several chunks, most of them
         # ending on a partial one; numpy's own sum would fold the one-decision
@@ -403,7 +414,7 @@ class TestConcurrentBaseline:
         assert (got.n_draws, got.cost_used) == (want.n_draws, want.cost_used)
 
     @pytest.mark.parametrize("evppi", [False, True], ids=["evpi", "evppi"])
-    def test_no_thread_outlives_a_call(self, tie_setup, evppi):
+    def test_no_thread_outlives_a_call(self, tie_setup, nested_path, evppi):
         model, prior, factored = tie_setup
         run, _ = _nested_calls(
             model, prior, factored if evppi else None,
@@ -414,7 +425,9 @@ class TestConcurrentBaseline:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("evppi", [False, True], ids=["evpi", "evppi"])
-    def test_baseline_sampler_error_matches_serial(self, tie_setup, monkeypatch, evppi):
+    def test_baseline_sampler_error_matches_serial(
+        self, tie_setup, monkeypatch, nested_path, evppi
+    ):
         monkeypatch.setattr(estimators, "_NESTED_CHUNK", 64)
         model, prior, factored = tie_setup
 
@@ -435,7 +448,7 @@ class TestConcurrentBaseline:
     @pytest.mark.parametrize("baseline_fails", [False, True])
     @pytest.mark.parametrize("evppi", [False, True], ids=["evpi", "evppi"])
     def test_outer_payoff_error_matches_serial(
-        self, tie_setup, monkeypatch, evppi, baseline_fails
+        self, tie_setup, monkeypatch, nested_path, evppi, baseline_fails
     ):
         # when the baseline fails too, the outer term's error still wins, as
         # in the serial order
@@ -508,9 +521,12 @@ class TestConcurrentBaseline:
         assert threading.active_count() == before
         assert 1 <= baseline_chunks <= 2
 
-    def test_process_pool_after_nested_call(self, tie_setup, benchmark_model_path):
+    def test_process_pool_after_nested_call(
+        self, tie_setup, benchmark_model_path, monkeypatch
+    ):
         # the pool forks after an in-process call has started and joined its
         # helper thread; the CSV must not depend on the worker count
+        monkeypatch.setattr(estimators, "_INLINE_ROWS", 0)
         model, prior, factored = tie_setup
         evppi_nested(
             model, factored, prior, outer_draws=50, inner_draws=4, baseline_draws=200,
@@ -521,6 +537,55 @@ class TestConcurrentBaseline:
         )
         serial = render_csv(run_plan(plan, workers=1), plan)
         assert render_csv(run_plan(plan, workers=2), plan) == serial
+
+    @pytest.mark.parametrize("evppi", [False, True], ids=["evpi", "evppi"])
+    @pytest.mark.parametrize("extra, inline", [(0, True), (1, False)], ids=["at", "above"])
+    def test_gate_boundary(self, tie_setup, evppi, extra, inline):
+        # a call of exactly _INLINE_ROWS payoff rows runs its baseline on the
+        # calling thread, one row more on the helper; the bits are the same
+        model, prior, factored = tie_setup
+        caller = threading.get_ident()
+        baseline_threads = set()
+
+        def draw(gen, size):
+            if not _outer_stream(gen):
+                baseline_threads.add(threading.get_ident())
+            return prior.draw(gen, size)
+
+        outer = 2**12  # 3 inner rows each for evppi
+        rows = outer * (3 if evppi else 1)
+        sampler = PriorSampler(dimension=prior.dimension, draw_fn=draw)
+        run, serial = _nested_calls(
+            model, sampler, factored if evppi else None, outer_draws=outer,
+            baseline_draws=estimators._INLINE_ROWS - rows + extra, rng=RngStream(47),
+        )
+        got = run()
+        assert got.cost_used == estimators._INLINE_ROWS + extra
+        assert (baseline_threads == {caller}) is inline
+        want = serial()
+        assert got.estimate.hex() == want.estimate.hex()
+        assert got.term_variance.hex() == want.term_variance.hex()
+
+    @pytest.mark.parametrize("evppi", [False, True], ids=["evpi", "evppi"])
+    def test_small_call_starts_no_thread(self, tie_setup, evppi):
+        # below the gate the baseline term runs while no other thread does;
+        # test_cli's import footprint shows it loads no executor either
+        model, prior, factored = tie_setup
+        before = threading.active_count()
+        counts = []
+
+        def draw(gen, size):
+            if not _outer_stream(gen):
+                counts.append(threading.active_count())
+            return prior.draw(gen, size)
+
+        sampler = PriorSampler(dimension=prior.dimension, draw_fn=draw)
+        run, _ = _nested_calls(
+            model, sampler, factored if evppi else None,
+            outer_draws=256, baseline_draws=4096, rng=RngStream(48),
+        )
+        run()
+        assert counts == [before]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from voimc import (
     run_plan,
 )
 from voimc.cli import main as cli_main
-from voimc.experiment import fit_slope, summarize
+from voimc.experiment import _quartiles, fit_slope, summarize
 
 from support import TIE_CONFIG
 
@@ -48,6 +48,33 @@ class TestSummarize:
         assert s.minimum <= s.q1 <= s.median <= s.q3 <= s.maximum
         assert s.minimum == min(values)
         assert s.maximum == max(values)
+
+    def test_quartiles_match_numpy_bit_for_bit(self):
+        # numpy's partition may leave either zero of a 0.0 / -0.0 tie at a
+        # quantile's index, and a sort-based quantile differs there; the copy
+        # of numpy's method must pick the same one, and the same NaN and
+        # infinities, on every array
+        rng = np.random.default_rng(2024)
+        specials = np.array([0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan])
+        for i in range(12_000):
+            n = int(rng.integers(1, 65))
+            if i % 4 == 0:  # distinct values
+                values = rng.standard_normal(n)
+            elif i % 4 == 1:  # only signed zeros
+                values = rng.choice(specials[:2], n)
+            elif i % 4 == 2:  # repeats, signed zeros and infinities
+                values = rng.choice(specials[:6], n)
+            else:  # repeats, and now and then a NaN
+                values = np.where(
+                    rng.random(n) < 0.05, np.nan, np.round(rng.standard_normal(n), 1)
+                )
+                values[rng.random(n) < 0.3] = -0.0
+            before = values.tobytes()
+            with np.errstate(invalid="ignore"):  # inf - inf in the lerp
+                want = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
+                got = _quartiles(values)
+            assert got.tobytes() == want.tobytes(), values
+            assert values.tobytes() == before  # the mean reads them in order
 
 
 class TestFitSlope:
@@ -241,6 +268,27 @@ class TestRunPlan:
         one = ExperimentPlan("evpi-coupled", (64,), 1, benchmark_model_path, seed=4)
         assert run_plan(one, workers=64).records == run_plan(one).records
         assert sizes == [2]
+
+    def test_pool_is_sent_largest_budgets_first(self, benchmark_model_path, monkeypatch):
+        # the cells go out in decreasing budget and come back in plan order,
+        # so the CSV keeps its bytes
+        import concurrent.futures
+
+        sent = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, budgets, replications, **kwargs):
+                sent.extend(zip(budgets, replications))
+                return super().map(fn, budgets, replications, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        plan = ExperimentPlan(
+            "evppi-nested", (16, 64, 256), 3, benchmark_model_path, seed=8
+        )
+        serial = render_csv(run_plan(plan, workers=1), plan)
+        assert render_csv(run_plan(plan, workers=2), plan) == serial
+        assert sorted(sent) == [(b, r) for b in (16, 64, 256) for r in (1, 2, 3)]
+        assert [b for b, _ in sent] == [256] * 3 + [64] * 3 + [16] * 3
 
     def test_replication_streams_keyed_by_index_not_order(self, benchmark_model_path):
         # running a superset of budgets must not disturb shared cells
