@@ -63,7 +63,6 @@ from support import (
 DIST = LevelDistribution(2, optimal_ratio(2, 1))
 
 
-
 @pytest.fixture(scope="module")
 def tie_setup():
     model, prior, factored = make_gaussian_model(TIE_CONFIG, (1, 2))
@@ -381,7 +380,6 @@ def nested_path(request, monkeypatch):
     thread after the outer term, or on the helper thread beside it."""
     inline_rows = 2**62 if request.param == "inline" else 0
     monkeypatch.setattr(estimators, "_INLINE_ROWS", inline_rows)
-    return request.param
 
 
 class TestConcurrentBaseline:
