@@ -14,11 +14,19 @@ something: ``--help``, every refusal argparse makes, and a ``study``
 ``--workers`` below 1 exit before it loads.  The worker count is therefore
 checked before the other arguments, the model file and ``--out``; of two
 faults in one command, a bad worker count is the one reported.
+
+``python -m voimc`` and the ``voimc`` script enter through `_entry`, which
+freezes the garbage collector's heap (`gc.freeze`) once `main` has returned
+and before the process exits, so the collections of the interpreter's
+finalization skip every object the run left alive: about 9 ms per process
+that loaded the library.  `main` itself never freezes: tests and library
+users call it in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -175,5 +183,19 @@ def main(argv=None) -> int:
         return _error(exc, 3)
 
 
+def _entry() -> None:
+    """Run `main` on ``sys.argv`` and exit with its code.
+
+    The heap is frozen only after `main` returns.  An exception that escapes
+    `main`, or argparse's own exit, leaves as it would without this: a
+    traceback and code 1, or argparse's code.  ``os._exit`` would save
+    about 2 ms more, but it skips the atexit handlers (multiprocessing's,
+    ``concurrent.futures``') and the flushing of the standard streams.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    _entry()

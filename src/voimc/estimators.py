@@ -134,17 +134,20 @@ class _RunningMoments:
         self.mean = 0.0
         self._m2 = 0.0
 
-    def add_many(self, values: np.ndarray) -> None:
+    def add_many(self, values: np.ndarray, *others: _RunningMoments) -> None:
+        """Merge the batch ``values`` into this accumulator and each of
+        ``others``, its mean and squared deviations computed once."""
         k = int(values.shape[0])
         if k == 0:
             return
         batch_mean = float(np.mean(values))
         batch_m2 = float(np.sum((values - batch_mean) ** 2))
-        total = self.count + k
-        delta = batch_mean - self.mean
-        self.mean += delta * k / total
-        self._m2 += batch_m2 + delta * delta * self.count * k / total
-        self.count = total
+        for acc in (self, *others):
+            total = acc.count + k
+            delta = batch_mean - acc.mean
+            acc.mean += delta * k / total
+            acc._m2 += batch_m2 + delta * delta * acc.count * k / total
+            acc.count = total
 
     @property
     def sample_variance(self) -> float:
@@ -244,10 +247,14 @@ def _terms(
         if coupled or j >= level - 1:
             below, best = best, _best(payoffs)
         if coupled or j == level:
-            gap = _fold_blocks(below, base) - best
-        if coupled:
-            weighted = (gap / dist.pmf(j)) * head
-            total = weighted if j == 1 else _fold_blocks(total, base) + weighted
+            gap = _fold_blocks(below, base)
+            gap -= best
+        if coupled:  # weighted, then added to the folded total, in place
+            gap /= dist.pmf(j)
+            gap *= head
+            if j > 1:
+                gap += _fold_blocks(total, base)
+            total = gap
     if variant == "single":
         return gap[:, 0] / dist.pmf(level)
     if coupled:
@@ -547,8 +554,7 @@ def _run(
                 for (variant, _, rows), g in zip(parts, gens)
             )
             values = y - z[0] if z else y
-            per_level[level].add_many(values)
-            moments.add_many(values)
+            per_level[level].add_many(values, moments)
     return EstimateResult(
         estimate=float(moments.mean),
         n_draws=n,

@@ -83,29 +83,37 @@ def _validate_subset(config: GaussianLinearModel, revealed) -> tuple[int, ...]:
     return tuple(sorted(_coordinates(config.dimension, revealed)))
 
 
-def _gaussian_draws(rng, size, means, stds):
-    # numpy's ziggurat normals, read in stream order: n + m rows drawn in one
-    # call equal n rows and then m rows, so the bits do not depend on chunk
-    # sizes or worker layout (they are fixed for a given numpy version and
-    # bit generator).
-    # Scaled and shifted in place: the bits are those of means + stds * z.
-    # From 1024 rows on, each whole block of 64 rows is scaled as one flat
-    # row against the coefficients tiled 64 times, so numpy's inner loop runs
-    # 64 * width wide instead of width; the last size % 64 rows, and smaller
-    # calls, for which the tiling costs more than it saves, are scaled as
-    # they are.
+def _gaussian_sampler(means, stds):
+    """``draw(rng, size)``: ``size`` rows of independent normals with these
+    means and stds.
+
+    numpy's ziggurat normals, read in stream order: n + m rows drawn in one
+    call equal n rows and then m rows, so the bits do not depend on chunk
+    sizes or worker layout (they are fixed for a given numpy version and bit
+    generator).  Scaled and shifted in place: the bits are those of
+    means + stds * z.  From 1024 rows on, each whole block of 64 rows is
+    scaled as one flat row against the coefficients tiled 64 times (tiled
+    once, here), so numpy's inner loop runs 64 * width wide instead of
+    width; the last size % 64 rows, and smaller calls, for which the extra
+    calls cost more than they save, are scaled as they are.
+    """
     width = means.shape[0]
-    z = rng.standard_normal((size, width))
-    rest = z
-    if size >= 1024:
-        whole = size - size % 64
-        blocks = z[:whole].reshape(whole // 64, 64 * width)
-        blocks *= np.tile(stds, 64)
-        blocks += np.tile(means, 64)
-        rest = z[whole:]
-    rest *= stds
-    rest += means
-    return z
+    block_stds, block_means = np.tile(stds, 64), np.tile(means, 64)
+
+    def draw(rng, size):
+        z = rng.standard_normal((size, width))
+        rest = z
+        if size >= 1024:
+            whole = size - size % 64
+            blocks = z[:whole].reshape(whole // 64, 64 * width)
+            blocks *= block_stds
+            blocks += block_means
+            rest = z[whole:]
+        rest *= stds
+        rest += means
+        return z
+
+    return draw
 
 
 def make_gaussian_model(
@@ -124,25 +132,27 @@ def make_gaussian_model(
     w0 = float(config.intercept)
 
     def payoff(xs):
-        return np.column_stack((xs @ w + w0, np.zeros(xs.shape[0])))
+        # the bits of np.column_stack((xs @ w + w0, zeros)), without its
+        # temporaries
+        out = np.empty((xs.shape[0], 2))
+        out[:, 0] = xs @ w
+        out[:, 0] += w0
+        out[:, 1] = 0.0
+        return out
 
     model = DecisionModel(
         decisions=("linear", "baseline"), payoff=payoff, dimension=config.dimension
     )
 
-    prior = PriorSampler(
-        dimension=config.dimension,
-        draw_fn=lambda rng, size: _gaussian_draws(rng, size, mu, sd),
-    )
+    prior = PriorSampler(dimension=config.dimension, draw_fn=_gaussian_sampler(mu, sd))
 
     r_idx, h_idx = _columns(config.dimension, revealed)
+    hidden = _gaussian_sampler(mu[h_idx], sd[h_idx])
     factored = FactoredSampler(
         dimension=config.dimension,
         revealed=revealed,
-        marginal_fn=lambda rng, size: _gaussian_draws(rng, size, mu[r_idx], sd[r_idx]),
-        conditional_fn=lambda x1, rng, size: _gaussian_draws(
-            rng, x1.shape[0] * size, mu[h_idx], sd[h_idx]
-        ),
+        marginal_fn=_gaussian_sampler(mu[r_idx], sd[r_idx]),
+        conditional_fn=lambda x1, rng, size: hidden(rng, x1.shape[0] * size),
     )
     return model, prior, factored
 

@@ -1,10 +1,13 @@
+import gc
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from voimc import cli
 from voimc.cli import main
 
 
@@ -324,8 +327,11 @@ def test_study_subset_order_does_not_change_bytes(benchmark_model_path, tmp_path
 
 
 def _fresh_python(*args):
-    """Run a fresh interpreter with this checkout's ``src`` on its path."""
+    """Run a fresh interpreter with this checkout's ``src`` on its path and
+    its standard streams buffered as by default, so that output a process
+    failed to flush before exiting goes missing."""
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -466,3 +472,108 @@ def test_bad_subset_exits_two_for_every_estimator(
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the exit path: `python -m voimc` and the `voimc` script enter through
+# `cli._entry`, which freezes the heap after `main` returns
+# ---------------------------------------------------------------------------
+
+
+def test_entry_stdout_beyond_pipe_buffer_is_complete(capsys):
+    # about 80 KiB of CSV, more than a 64 KiB pipe buffer holds, must all be
+    # flushed before the process exits
+    args = ["study", "--estimator", "evpi-nested", "--model", _BENCHMARK_MODEL]
+    args += ["--budgets", "16,32", "--reps", "600", "--seed", "4"]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.encode()) > 65536
+    proc = _fresh_python("-m", "voimc", *args)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == captured.out
+    assert proc.stderr == captured.err
+
+
+def test_entry_out_file_matches_in_process(capsys, tmp_path):
+    args = ["study", "--estimator", "evppi-coupled", "--model", _BENCHMARK_MODEL]
+    args += ["--subset", "1,2", "--budgets", "64,256", "--reps", "4", "--seed", "8"]
+    here, fresh = tmp_path / "here.csv", tmp_path / "fresh.csv"
+    assert main(args + ["--out", str(here)]) == 0
+    captured = capsys.readouterr()
+    proc = _fresh_python("-m", "voimc", *args, "--out", str(fresh), "--workers", "2")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert fresh.read_bytes() == here.read_bytes()
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+
+
+def test_entry_passes_exit_codes_through(capsys):
+    # 0: `estimate` prints its fields line by line into a block-buffered pipe
+    ok = ["estimate", "--estimator", "evpi-coupled", "--model", _BENCHMARK_MODEL]
+    ok += ["--budget", "256", "--seed", "3"]
+    # 2: every level of this law is above the per-draw memory bound
+    oversized = ["estimate", "--estimator", "evpi-coupled", "--model", _BENCHMARK_MODEL]
+    oversized += ["--budget", "268435456", "--b", "67108864", "--r", "1e-8"]
+    # 3: the first drawn level does not fit the budget, at the first such seed
+    exhausted = ["estimate", "--estimator", "evpi-single", "--model", _BENCHMARK_MODEL]
+    exhausted += ["--budget", "2", "--r", "0.49", "--seed"]
+    for seed in range(60):
+        code = main(exhausted + [str(seed)])
+        capsys.readouterr()
+        if code == 3:
+            break
+    else:
+        pytest.fail("no exhausting seed found in 60 tries")
+    for args, code in ((ok, 0), (oversized, 2), (exhausted + [str(seed)], 3)):
+        assert main(args) == code
+        captured = capsys.readouterr()
+        proc = _fresh_python("-m", "voimc", *args)
+        assert proc.returncode == code
+        assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+
+
+def test_main_never_freezes_the_heap(benchmark_model_path, capsys):
+    before = gc.get_freeze_count()
+    args = ["study", "--estimator", "evpi-coupled", "--model", benchmark_model_path]
+    assert main(args + ["--budgets", "64", "--reps", "2"]) == 0
+    assert main(args + ["--budgets", "64", "--reps", "2", "--workers", "0"]) == 2
+    assert gc.get_freeze_count() == before
+
+
+def test_entry_freezes_only_after_main_returns(monkeypatch):
+    events = []
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+
+    def returns():
+        events.append("main")
+        return 3
+
+    monkeypatch.setattr(cli, "main", returns)
+    with pytest.raises(SystemExit) as exc:
+        cli._entry()
+    assert exc.value.code == 3
+    assert events == ["main", "freeze"]
+
+    for error in (RuntimeError("boom"), SystemExit(2)):
+
+        def raises(error=error):
+            events.append("main")
+            raise error
+
+        events.clear()
+        monkeypatch.setattr(cli, "main", raises)
+        with pytest.raises(type(error)) as exc:
+            cli._entry()
+        assert exc.value is error
+        assert events == ["main"]
+
+
+def test_script_and_module_enter_through_the_same_function():
+    # read with a regex: tomllib needs Python 3.11
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text()
+    script = re.search(r'^voimc\s*=\s*"voimc\.cli:(\w+)"\s*$', pyproject, re.M)
+    module = (root / "src" / "voimc" / "__main__.py").read_text()
+    imported = re.search(r"^from \.cli import (\w+)$", module, re.M)
+    assert script and imported
+    assert script.group(1) == imported.group(1) == cli._entry.__name__
+    assert f"    {imported.group(1)}()\n" in module

@@ -1239,9 +1239,9 @@ class TestMlmcEstimators:
                 super().__init__()
                 self.chunks = []
 
-            def add_many(self, values):
+            def add_many(self, values, *others):
                 self.chunks.append(values.copy())
-                super().add_many(values)
+                super().add_many(values, *others)
 
         def freeze(acc):
             recorded.update({lvl: np.concatenate(m.chunks) for lvl, m in acc.items()})

@@ -16,7 +16,7 @@ from voimc import (
     load_model_config,
     make_gaussian_model,
 )
-from voimc.gaussian import _gaussian_draws, evppi_from_moments
+from voimc.gaussian import _gaussian_sampler, evppi_from_moments
 
 from support import TIE_CONFIG, analytic_evpi
 
@@ -263,9 +263,20 @@ class TestSamplingAccuracy:
         assert values[0] == pytest.approx(0.7 + 0.3 - 0.2, rel=1e-15)
         assert values[1] == 0.0
 
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 65543])
+    def test_payoff_bitwise_equal_to_column_stack(self, n):
+        cfg = GaussianLinearModel(0.7, (1.0, -2.0, 0.3), (0.3, -0.1, 2.0), (1.0, 0.5, 3.0))
+        model, prior, _ = make_gaussian_model(cfg, (1,))
+        xs = prior.draw(RngStream(65, (n,)).generator(), n)
+        got = model.payoff_matrix(xs)
+        w = np.asarray(cfg.weights)
+        want = np.column_stack((xs @ w + cfg.intercept, np.zeros(n)))
+        assert got.shape == want.shape == (n, 2)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestGaussianKernel:
-    """`_gaussian_draws` scales and shifts numpy's standard normals in place."""
+    """`_gaussian_sampler` scales and shifts numpy's standard normals in place."""
 
     MEANS = np.array([0.5, -1.25, 3.0])
     STDS = np.array([2.0, 0.1, 7.5])
@@ -285,7 +296,8 @@ class TestGaussianKernel:
     def test_bitwise_equal_to_out_of_place_formula(self, size, width):
         means = np.linspace(-1.25, 3.0, width)
         stds = np.linspace(0.1, 7.3, width)
-        got = _gaussian_draws(RngStream(61, (size,)).generator(), size, means, stds)
+        draw = _gaussian_sampler(means, stds)
+        got = draw(RngStream(61, (size,)).generator(), size)
         z = RngStream(61, (size,)).generator().standard_normal((size, width))
         want = means + stds * z
         assert got.shape == (size, width)
@@ -295,12 +307,13 @@ class TestGaussianKernel:
         means, stds = self.MEANS.copy(), self.STDS.copy()
         gen = RngStream(63).generator()
         twin = RngStream(63).generator()
-        first = _gaussian_draws(gen, 4, means, stds)
+        draw = _gaussian_sampler(means, stds)
+        first = draw(gen, 4)
         assert not np.shares_memory(first, means)
         assert not np.shares_memory(first, stds)
         first[...] = np.nan
         self._reference(twin, 4)  # the twin skips the first block
-        second = _gaussian_draws(gen, 4, means, stds)
+        second = draw(gen, 4)
         assert second.tobytes() == self._reference(twin, 4).tobytes()
         assert means.tobytes() == self.MEANS.tobytes()
         assert stds.tobytes() == self.STDS.tobytes()
