@@ -189,8 +189,8 @@ def _entry() -> None:
     The heap is frozen only after `main` returns.  An exception that escapes
     `main`, or argparse's own exit, leaves as it would without this: a
     traceback and code 1, or argparse's code.  ``os._exit`` would save
-    about 2 ms more, but it skips the atexit handlers (multiprocessing's,
-    ``concurrent.futures``') and the flushing of the standard streams.
+    about 2 ms more, but it skips the atexit handlers and the flushing of
+    the standard streams.
     """
     code = main()
     gc.freeze()

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -266,38 +269,102 @@ def _resolve_model(plan: ExperimentPlan):
     return config, tuple(subset), analytic_evppi(config, subset), named
 
 
+def _child(cell, jobs, fd: int) -> None:
+    """A forked child's life: run ``jobs``, write ``(True, outcomes)`` or
+    ``(False, exc)`` pickled to ``fd``, and leave through ``os._exit``, so
+    no atexit handler runs and no inherited stdio buffer is flushed.  A
+    payload that fails to pickle is not written."""
+    code = 1
+    try:
+        try:
+            payload = (True, [cell(*job) for job in jobs])
+        except BaseException as exc:
+            payload = (False, exc)
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(payload))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(children: list[tuple[int, int]], kill: bool = False) -> int:
+    """Close the first child's pipe, kill the child if ``kill``, wait for
+    it, and return its exit code (a signal that ended it, negated)."""
+    pid, fd = children.pop(0)
+    os.close(fd)
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _run_cells(cell, jobs: list[tuple], workers: int) -> list:
+    """``[cell(*job) for job in jobs]``, with job i run in process i % workers.
+
+    The caller is process 0: it forks the other ``workers - 1``, runs its
+    own share, then reads each child's pickled outcomes from a pipe and
+    reaps the child.  A child's cell error is raised here with its type and
+    message; a child that sends no readable outcomes raises a RuntimeError
+    that names it.  Whatever fails, in the caller or in a child, every child
+    not yet reaped is killed and reaped and every pipe is closed before the
+    error leaves.  Where ``os.fork`` is missing the caller runs every job.
+    """
+    if not hasattr(os, "fork"):
+        workers = 1
+    children: list[tuple[int, int]] = []  # (pid, read end), not yet reaped
+    try:
+        for first in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _child(cell, jobs[first::workers], write)  # never returns
+            children.append((pid, read))
+            os.close(write)
+        shares = [[cell(*job) for job in jobs[::workers]]]
+        while children:
+            pid, fd = children[0]
+            data = b"".join(iter(functools.partial(os.read, fd, 1 << 16), b""))
+            code = _reap(children)
+            try:
+                ok, value = pickle.loads(data)
+            except Exception:
+                raise RuntimeError(
+                    f"study worker process {pid} exited with code {code} "
+                    "without sending readable outcomes"
+                ) from None
+            if not ok:
+                raise value
+            shares.append(value)
+    finally:
+        while children:
+            _reap(children, kill=True)
+    return [shares[i % workers][i // workers] for i in range(len(jobs))]
+
+
 def run_plan(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
     """Execute a plan; deterministic for a fixed seed at any worker count.
 
-    ``workers`` > 1 runs the cells in a process pool of at most one process
-    per cell (a pool forks all its processes at its first task), so a plan of
-    one cell runs serially; only a pool imports
-    ``concurrent.futures.process`` and ``multiprocessing``.  The pool is sent
-    the cells largest budget first, so its last chunks are the shortest, and
-    the outcomes are put back in plan order.
+    The cells run in `_run_cells` over at most one process per cell: the
+    calling process and ``workers - 1`` forked children, each cell on its
+    own (budget, replication) stream, so the outcomes do not depend on the
+    split.  It forks while its own call runs no other thread, since a
+    nested estimator call joins its helper thread before it returns; a
+    caller that runs threads of its own should pass ``workers=1``.
     Raises ValueError unless ``workers`` is a positive integer, and
-    BudgetExhaustedError when every replication of some budget ran out before
-    its first draw.
+    BudgetExhaustedError when every replication of some budget ran out
+    before its first draw.
     """
     workers = _check_int(workers, "workers", 1)
     config, subset, truth, named = _resolve_model(plan)
     cell = functools.partial(run_replication, plan, config, subset)
     reps = range(1, plan.replications + 1)
-    budgets = [budget for budget in plan.budgets for _ in reps]
-    replications = [rep for _ in plan.budgets for rep in reps]
-    workers = min(workers, len(budgets))
-    if workers == 1:
-        outcomes = list(map(cell, budgets, replications))
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-        # a plan's budgets increase, so reversed cells go largest budget
-        # first and the pool ends on its cheapest chunks; reversing the
-        # outcomes puts them back in plan order
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(budgets) // (8 * workers))
-            sent = pool.map(cell, budgets[::-1], replications[::-1], chunksize=chunk)
-            outcomes = list(sent)[::-1]
+    jobs = [(budget, rep) for budget in plan.budgets for rep in reps]
+    outcomes = _run_cells(cell, jobs, min(workers, len(jobs)))
 
     records: dict[int, tuple[ReplicateRecord, ...]] = {}
     per_budget: dict[int, BudgetSummary] = {}

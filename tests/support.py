@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
@@ -316,3 +320,16 @@ def weighted_level_mean(dist, level: int, correction_mean, variant: str) -> floa
     if variant == "single":
         return correction_mean(level) / dist.pmf(level)
     return sum(correction_mean(j) / dist.tail(j) for j in range(1, level + 1))
+
+
+def fresh_python(*args):
+    """Run a fresh interpreter with this checkout's ``src`` on its path and
+    its standard streams buffered as by default, so that output a process
+    failed to flush before exiting goes missing."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )

@@ -1,7 +1,5 @@
 import gc
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +7,8 @@ import pytest
 
 from voimc import cli
 from voimc.cli import main
+
+from support import fresh_python
 
 
 def test_help_exits_zero():
@@ -326,21 +326,8 @@ def test_study_subset_order_does_not_change_bytes(benchmark_model_path, tmp_path
     assert "#CONFIG,subset,1|2\n" in paths[1].read_text()
 
 
-def _fresh_python(*args):
-    """Run a fresh interpreter with this checkout's ``src`` on its path and
-    its standard streams buffered as by default, so that output a process
-    failed to flush before exiting goes missing."""
-    env = dict(os.environ)
-    env.pop("PYTHONUNBUFFERED", None)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env
-    )
-
-
 def test_module_entry_point_runs():
-    proc = _fresh_python("-m", "voimc", "--help")
+    proc = fresh_python("-m", "voimc", "--help")
     assert proc.returncode == 0
     assert "estimate" in proc.stdout and "study" in proc.stdout
 
@@ -350,8 +337,7 @@ _BENCHMARK_MODEL = str(
 )
 
 # Modules a run loads only when it uses them: numpy.ma (np.setdiff1d,
-# np.unique and np.quantile pull it in), the executors, and the process pool's
-# multiprocessing.
+# np.unique and np.quantile pull it in), the executors, and multiprocessing.
 _LAZY = ("numpy.ma", "concurrent.futures", "multiprocessing")
 # A command that computes nothing loads no numpy at all.
 _NO_LIBRARY = ("numpy", "concurrent.futures", "multiprocessing")
@@ -400,8 +386,8 @@ voimc.run_plan(plan, workers=int(sys.argv[2]))
         # a serial study of small nested calls runs each baseline term on the
         # calling thread, and its summaries take quantiles without numpy.ma
         (["-c", _STUDY_RUN, _BENCHMARK_MODEL, "1"], 0, _LAZY),
-        # the parent of a pooled study loads the pool, but still no numpy.ma
-        (["-c", _STUDY_RUN, _BENCHMARK_MODEL, "2"], 0, ("numpy.ma",)),
+        # a pooled study forks its workers: no process pool, no numpy.ma
+        (["-c", _STUDY_RUN, _BENCHMARK_MODEL, "2"], 0, _LAZY),
         # every level of this law is above the per-draw bound: refused before
         # any random stream is built
         (
@@ -427,7 +413,7 @@ voimc.run_plan(plan, workers=int(sys.argv[2]))
 def test_runtime_import_footprint(command, code, absent):
     # a run loads only what it uses, and scipy is a test dependency only;
     # `-X importtime` lists every module a fresh interpreter imports, on stderr
-    proc = _fresh_python("-X", "importtime", *command)
+    proc = fresh_python("-X", "importtime", *command)
     assert proc.returncode == code, proc.stderr[-2000:]
     imported = [
         line.rsplit("|", 1)[1].strip()
@@ -444,7 +430,7 @@ def test_workers_refused_before_other_arguments(tmp_path):
     # the refusal keeps its bytes, and comes first: the level law (ratio 0.9
     # is none), the model file and --out, all bad here, are never checked
     out = tmp_path / "missing" / "x.csv"
-    proc = _fresh_python(*_STUDY, "--r", "0.9", "--out", str(out), "--workers", "0")
+    proc = fresh_python(*_STUDY, "--r", "0.9", "--out", str(out), "--workers", "0")
     assert proc.returncode == 2
     assert proc.stderr == "error: workers must be a positive integer, got 0\n"
     assert proc.stdout == ""
@@ -488,7 +474,7 @@ def test_entry_stdout_beyond_pipe_buffer_is_complete(capsys):
     assert main(args) == 0
     captured = capsys.readouterr()
     assert len(captured.out.encode()) > 65536
-    proc = _fresh_python("-m", "voimc", *args)
+    proc = fresh_python("-m", "voimc", *args)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == captured.out
     assert proc.stderr == captured.err
@@ -500,10 +486,26 @@ def test_entry_out_file_matches_in_process(capsys, tmp_path):
     here, fresh = tmp_path / "here.csv", tmp_path / "fresh.csv"
     assert main(args + ["--out", str(here)]) == 0
     captured = capsys.readouterr()
-    proc = _fresh_python("-m", "voimc", *args, "--out", str(fresh), "--workers", "2")
+    proc = fresh_python("-m", "voimc", *args, "--out", str(fresh), "--workers", "2")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert fresh.read_bytes() == here.read_bytes()
     assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+
+
+def test_entry_study_bytes_do_not_depend_on_workers(tmp_path):
+    args = ["-m", "voimc", "study", "--estimator", "evppi-nested"]
+    args += ["--model", _BENCHMARK_MODEL, "--subset", "1,2"]
+    args += ["--budgets", "64,256,1024", "--reps", "5", "--seed", "9"]
+    seen = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"{workers}.csv"
+        echoed = fresh_python(*args, "--workers", workers)
+        written = fresh_python(*args, "--workers", workers, "--out", str(out))
+        assert echoed.returncode == written.returncode == 0, echoed.stderr[-2000:]
+        assert echoed.stdout.startswith("#CONFIG,estimator,evppi-nested\n")
+        streams = (echoed.stdout, echoed.stderr, written.stdout, written.stderr)
+        seen.append(streams + (out.read_bytes(),))
+    assert seen[0] == seen[1]
 
 
 def test_entry_passes_exit_codes_through(capsys):
@@ -526,7 +528,7 @@ def test_entry_passes_exit_codes_through(capsys):
     for args, code in ((ok, 0), (oversized, 2), (exhausted + [str(seed)], 3)):
         assert main(args) == code
         captured = capsys.readouterr()
-        proc = _fresh_python("-m", "voimc", *args)
+        proc = fresh_python("-m", "voimc", *args)
         assert proc.returncode == code
         assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
 

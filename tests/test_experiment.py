@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,9 +17,9 @@ from voimc import (
     run_plan,
 )
 from voimc.cli import main as cli_main
-from voimc.experiment import _quartiles, fit_slope, summarize
+from voimc.experiment import _quartiles, _run_cells, fit_slope, summarize
 
-from support import TIE_CONFIG
+from support import TIE_CONFIG, fresh_python
 
 
 class TestSummarize:
@@ -246,49 +249,47 @@ class TestRunPlan:
                 run_plan(plan, workers=workers)
         assert run_plan(plan, workers=np.int64(1)).records == run_plan(plan).records
 
-    def test_pool_starts_at_most_one_process_per_cell(
+    def test_records_do_not_depend_on_the_split(self, benchmark_model_path):
+        # 7 cells: no worker count below divides them evenly
+        plan = ExperimentPlan("evppi-single", (64,), 7, benchmark_model_path, seed=5)
+        serial = run_plan(plan).records
+        for workers in (2, 3, 5):
+            assert run_plan(plan, workers=workers).records == serial
+
+    def test_starts_at_most_one_process_per_cell(
         self, benchmark_model_path, monkeypatch
     ):
-        # a pool forks all its processes at its first task, so 64 workers on
-        # 2 cells must ask for 2; the stand-in never starts more than 2
-        import concurrent.futures
+        # the caller runs a share itself, so 64 workers on 2 cells fork once
+        forks = []
+        fork = os.fork
 
-        sizes = []
+        def recording():
+            pid = fork()
+            forks.append(pid)
+            return pid
 
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=min(max_workers, 2))
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(os, "fork", recording)
         two = ExperimentPlan("evpi-coupled", (64, 256), 1, benchmark_model_path, seed=4)
+        assert run_plan(two) == run_plan(two, workers=1)
+        assert forks == []
         assert run_plan(two, workers=64) == run_plan(two)
-        assert sizes == [2]
-        # one cell runs serially: no pool at all
+        assert len(forks) == 1
         one = ExperimentPlan("evpi-coupled", (64,), 1, benchmark_model_path, seed=4)
         assert run_plan(one, workers=64).records == run_plan(one).records
-        assert sizes == [2]
+        assert len(forks) == 1
 
-    def test_pool_is_sent_largest_budgets_first(self, benchmark_model_path, monkeypatch):
-        # the cells go out in decreasing budget and come back in plan order,
-        # so the CSV keeps its bytes
-        import concurrent.futures
-
-        sent = []
-
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, budgets, replications, **kwargs):
-                sent.extend(zip(budgets, replications))
-                return super().map(fn, budgets, replications, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        plan = ExperimentPlan(
-            "evppi-nested", (16, 64, 256), 3, benchmark_model_path, seed=8
+    def test_stdout_buffer_is_not_flushed_by_children(self, benchmark_model_path):
+        # a forked child inherits the caller's unflushed stdout buffer and
+        # must leave without writing it
+        code = (
+            "import sys, voimc\n"
+            "plan = voimc.ExperimentPlan('evpi-nested', (16, 32, 64), 2, sys.argv[1])\n"
+            "print('written once', end='')\n"
+            "voimc.run_plan(plan, workers=3)\n"
         )
-        serial = render_csv(run_plan(plan, workers=1), plan)
-        assert render_csv(run_plan(plan, workers=2), plan) == serial
-        assert sorted(sent) == [(b, r) for b in (16, 64, 256) for r in (1, 2, 3)]
-        assert [b for b, _ in sent] == [256] * 3 + [64] * 3 + [16] * 3
+        proc = fresh_python("-c", code, benchmark_model_path)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert (proc.stdout, proc.stderr) == ("written once", "")
 
     def test_replication_streams_keyed_by_index_not_order(self, benchmark_model_path):
         # running a superset of budgets must not disturb shared cells
@@ -412,3 +413,78 @@ class TestNestedStudyWiring:
         row = report.records[4096][0]
         assert row.n_draws == 256  # outer count: 4096**(2/3)
         assert row.cost_used == 256 * 16 + 4096
+
+
+def _where(*job):
+    return os.getpid(), job
+
+
+class TestRunCells:
+    """The cell runner: job i in process i % workers, the caller process 0."""
+
+    @pytest.fixture(autouse=True)
+    def leaves_nothing_behind(self):
+        # no child process to reap and no pipe left open after any case
+        fds = len(os.listdir("/proc/self/fd"))
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_job_i_runs_in_process_i_mod_workers(self, workers):
+        jobs = [(i, -i) for i in range(11)]
+        outcomes = _run_cells(_where, jobs, workers)
+        assert [job for _, job in outcomes] == jobs
+        pids = [pid for pid, _ in outcomes]
+        shares = [set(pids[first::workers]) for first in range(workers)]
+        assert shares[0] == {os.getpid()}
+        assert all(len(share) == 1 for share in shares)
+        assert len(set.union(*shares)) == workers
+
+    def test_without_fork_the_caller_runs_every_job(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        outcomes = _run_cells(_where, [(i,) for i in range(5)], 3)
+        assert outcomes == [(os.getpid(), (i,)) for i in range(5)]
+
+    @pytest.mark.parametrize("error", [ValueError, MemoryError])
+    def test_child_error_reaches_the_caller(self, error):
+        # the first child's error also ends the second, which would sleep
+        def cell(job):
+            if job == 1:
+                raise error(f"cell {job} failed")
+            if job == 2:
+                time.sleep(60)
+            return job
+
+        start = time.perf_counter()
+        with pytest.raises(error, match="^cell 1 failed$"):
+            _run_cells(cell, [(0,), (1,), (2,)], 3)
+        assert time.perf_counter() - start < 30
+
+    @pytest.mark.parametrize(
+        "fault, code",
+        # a child that dies, and one whose outcomes do not pickle
+        [(lambda: os._exit(5), 5), (threading.Lock, 1)],
+        ids=["exit-5", "unpicklable"],
+    )
+    def test_child_without_outcomes_is_named(self, fault, code):
+        def cell(job):
+            return fault() if job == 1 else job
+
+        message = rf"^study worker process \d+ exited with code {code} without"
+        with pytest.raises(RuntimeError, match=message):
+            _run_cells(cell, [(0,), (1,)], 2)
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_caller_error_kills_the_children(self, error):
+        # the children would take a minute; the caller's error ends them
+        def cell(job):
+            if job == 0:
+                raise error("caller failed")
+            time.sleep(60)
+
+        start = time.perf_counter()
+        with pytest.raises(error, match="caller failed"):
+            _run_cells(cell, [(0,), (1,), (2,)], 3)
+        assert time.perf_counter() - start < 30
