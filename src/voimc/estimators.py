@@ -19,9 +19,9 @@ a single decision or with constant payoffs give gaps of exactly 0.0, every
 gap is >= 0 entry by entry (and folds and sums of non-negative values stay
 so), and the level-1 single and coupled terms scale the same gap, so their
 coupling identity holds to the bit.  Tests rely on all three properties.  A
-multilevel run needs only how many draws land on each level; the draws of
-one level are sampled from one stream per kind of sample and evaluated in
-chunks, stacked into one payoff call and one `_terms` fold per part and
+multilevel run needs only how many draws land on each level; the draws are
+sampled level after level from one stream per kind of sample and evaluated
+in chunks, stacked into one payoff call and one `_terms` fold per part and
 chunk.  The fold reduces each draw on its own, so every term has the bits
 it would have alone, whatever the chunk size.  The nested estimators reduce
 by ``_fold_sum``, a left-to-right running sum: the baseline over its rows,
@@ -276,16 +276,16 @@ def _terms(
 #                            above `_INLINE_ROWS` payoff rows)
 #               child(2)     conditional rows (evppi)
 #   multilevel  child(0)     the number of draws at each level, drawn first
-#               child(1, l)  prior rows of every draw at level l
-#               child(2, l)  revealed blocks of every draw at level l
-#               child(3, l)  their conditional rows
+#               child(1)     prior rows of every draw
+#               child(2)     revealed blocks of every draw
+#               child(3)     their conditional rows
 #
 # Each stream serves one kind of sample only and is consumed in chunks of
-# whole draws (`_chunks`), so it yields the same samples whatever the chunk
-# size, and no samples are held beyond the current chunk.  The
-# perfect-information part of `evppi_mlmc` reads child(1, l) exactly as
-# `evpi_mlmc` does, which keeps the two estimators bit-identical on models
-# whose conditional part is degenerate.
+# whole draws (`_chunks`), level after level, so it yields the same samples
+# whatever the chunk size, and no samples are held beyond the current
+# chunk.  The perfect-information part of `evppi_mlmc` reads child(1)
+# exactly as `evpi_mlmc` does, which keeps the two estimators bit-identical
+# on models whose conditional part is degenerate.
 
 _Rows = Callable[..., np.ndarray]
 
@@ -502,11 +502,12 @@ def _run(
     """One multilevel run in which a draw pays its level's cost once per part.
 
     Each part is (variant, stream kinds, rows): ``rows`` samples the part's
-    level-l draws from ``rng.child(k, l)``, k in the stream kinds, and
-    `_terms` turns them into ``variant`` corrections, chunk by chunk.  A
-    draw's value is its first part's term minus its second's, if any, and
-    reaches the moments with its chunk.  ``budget_rule`` spends ``budget``
-    as described in `evpi_mlmc`.
+    draws from one ``rng.child(k)`` generator per stream kind k, built once
+    and read level after level in increasing order, and `_terms` turns them
+    into ``variant`` corrections, chunk by chunk.  A draw's value is its
+    first part's term minus its second's, if any, and reaches the moments
+    with its chunk.  ``budget_rule`` spends ``budget`` as described in
+    `evpi_mlmc`.
     """
     budget = _check_int(budget, "budget", 1)
     _check_choice(budget_rule, "budget_rule", _BUDGET_RULES)
@@ -541,11 +542,11 @@ def _run(
             )
     deepest = counts.shape[0] - 1
     _check_draw(f"a level-{deepest} draw", dist.cost(deepest), model.dimension)
+    gens = [[rng.child(k).generator() for k in ks] for _, ks, _ in parts]
     moments = _RunningMoments()
     per_level: dict[int, _RunningMoments] = {}
     for level in np.flatnonzero(counts).tolist():
         cost = dist.cost(level)
-        gens = [[rng.child(k, level).generator() for k in ks] for _, ks, _ in parts]
         per_level[level] = _RunningMoments()
         for m in _chunks(int(counts[level]), cost, _BATCH_ROWS):
             y, *z = (

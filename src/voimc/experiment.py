@@ -28,7 +28,6 @@ from .estimators import (
     nested_allocation,
 )
 from .gaussian import (
-    GaussianLinearModel,
     _validate_subset,
     analytic_evppi,
     load_model_config,
@@ -184,18 +183,16 @@ def fit_slope(points) -> float:
 
 
 def run_replication(
-    plan: ExperimentPlan,
-    config: GaussianLinearModel,
-    subset: tuple[int, ...],
-    budget: int,
-    replication: int,
+    plan: ExperimentPlan, models: tuple, budget: int, replication: int
 ) -> ReplicateRecord:
     """Run one (budget, replication) cell of ``plan`` on its own stream.
 
-    Multilevel cells spend their budget through the prefix rule, so a
-    replication never costs more than its budget.
+    The cell takes the plan's model: ``models`` is the (model, prior,
+    factored) that `run_plan` builds once.  Multilevel cells spend their
+    budget through the prefix rule, so a replication never costs more than
+    its budget.
     """
-    model, prior, factored = make_gaussian_model(config, subset)
+    model, prior, factored = models
     stream = RngStream(plan.seed).child(budget, replication)
     try:
         if plan.estimator == "evpi-nested":
@@ -349,10 +346,11 @@ def _run_cells(cell, jobs: list[tuple], workers: int) -> list:
 def run_plan(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
     """Execute a plan; deterministic for a fixed seed at any worker count.
 
-    The cells run in `_run_cells` over at most one process per cell: the
-    calling process and ``workers - 1`` forked children, each cell on its
-    own (budget, replication) stream, so the outcomes do not depend on the
-    split.  It forks while its own call runs no other thread, since a
+    The plan's model is built once, before any fork, and shared by every
+    cell.  The cells run in `_run_cells` over at most one process per cell:
+    the calling process and ``workers - 1`` forked children, each cell on
+    its own (budget, replication) stream, so the outcomes do not depend on
+    the split.  It forks while its own call runs no other thread, since a
     nested estimator call joins its helper thread before it returns; a
     caller that runs threads of its own should pass ``workers=1``.
     Raises ValueError unless ``workers`` is a positive integer, and
@@ -361,7 +359,8 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
     """
     workers = _check_int(workers, "workers", 1)
     config, subset, truth, named = _resolve_model(plan)
-    cell = functools.partial(run_replication, plan, config, subset)
+    models = make_gaussian_model(config, subset)
+    cell = functools.partial(run_replication, plan, models)
     reps = range(1, plan.replications + 1)
     jobs = [(budget, rep) for budget in plan.budgets for rep in reps]
     outcomes = _run_cells(cell, jobs, min(workers, len(jobs)))

@@ -2,9 +2,9 @@
 
 A stream is identified by a root seed plus a tuple of child indices, and the
 mapping (seed, path) -> bit stream is fixed.  Any unit of work (a replication,
-one kind of sample at one level of a run) owns the stream derived from its
-logical coordinates, never from execution order, so serial and parallel runs
-of the same configuration produce bit-identical results.
+one kind of sample in a run) owns the stream derived from its logical
+coordinates, never from execution order, so serial and parallel runs of the
+same configuration produce bit-identical results.
 
 Every stream is numpy's SFC64 bit generator, its 256-bit state hashed from
 the coordinates by ``SeedSequence(seed, spawn_key=path)``: distinct

@@ -128,18 +128,19 @@ def per_draw_run(
     `evppi_mlmc` (``variants`` = (variant_y, variant_z)) evaluated level by
     level, each draw sampled on its own, with its terms by level.
 
-    The counts come from `level_counts`.  Draw after draw of level l takes its
-    prior rows from ``rng.child(1, l)`` through `prior_term` and, for evppi,
-    its revealed block from ``rng.child(2, l)`` and its conditional rows from
-    ``rng.child(3, l)`` through `conditional_term`.  The moments take each
-    level's terms at once."""
+    The counts come from `level_counts`.  One generator per kind of sample is
+    made before the level loop: ``rng.child(1)`` for prior rows, through
+    `prior_term`, and for evppi ``rng.child(2)`` for revealed blocks and
+    ``rng.child(3)`` for conditional rows, through `conditional_term`.  Each
+    is read draw by draw, level after level in increasing order.  The moments
+    take each level's terms at once."""
     parts = 1 if factored is None else 2
     counts = level_counts(dist, budget, parts, rng, budget_rule)
     terms: dict[int, np.ndarray] = {}
     moments = _RunningMoments()
     per_level = {}
+    gens = [rng.child(k).generator() for k in (1, 2, 3)]
     for level in np.flatnonzero(counts).tolist():
-        gens = [rng.child(k, level).generator() for k in (1, 2, 3)]
         values = []
         for _ in range(int(counts[level])):
             value = prior_term(model, prior, level, dist, gens[0], variants[0])

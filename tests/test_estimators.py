@@ -995,26 +995,73 @@ class TestMlmcEstimators:
         b = evppi_mlmc(model, factored, prior, DIST, 512, rng=RngStream(51))
         assert a == b
 
+    @pytest.mark.parametrize("batch_rows", [8, _BATCH_ROWS])
+    @pytest.mark.parametrize("variant", ["single", "coupled"])
     @pytest.mark.parametrize("budget_rule", ["expected", "prefix"])
     def test_full_reveal_equals_perfect_information_run_bitwise(
-        self, tie_setup, budget_rule
+        self, tie_setup, monkeypatch, budget_rule, variant, batch_rows
     ):
         # conditional terms cancel exactly and either budget rule on a doubled
-        # budget walks the identical level sequence
+        # budget walks the identical level sequence, so the runs agree to the
+        # bit only if evppi's Y part reads its one prior stream as evpi does;
+        # 8-row chunks make that stream span several levels and chunks
+        monkeypatch.setattr(estimators, "_BATCH_ROWS", batch_rows)
         model, prior, _ = tie_setup
         _, _, factored = make_gaussian_model(TIE_CONFIG, range(1, 6))
         for budget in (64, 256):
             a = evpi_mlmc(
-                model, prior, DIST, budget, "coupled", RngStream(52),
+                model, prior, DIST, budget, variant, RngStream(52),
                 budget_rule=budget_rule,
             )
             b = evppi_mlmc(
-                model, factored, prior, DIST, 2 * budget, rng=RngStream(52),
-                budget_rule=budget_rule,
+                model, factored, prior, DIST, 2 * budget, variant, variant,
+                rng=RngStream(52), budget_rule=budget_rule,
             )
             assert a.estimate == b.estimate
+            assert a.per_level == b.per_level
             assert a.n_draws == b.n_draws
             assert 2 * a.cost_used == b.cost_used
+        assert len(a.per_level) >= 2
+        if batch_rows == 8:
+            assert _chunk_count(a) > len(a.per_level)
+
+    @pytest.mark.parametrize("budget_rule", ["expected", "prefix"])
+    def test_one_generator_per_stream_kind(self, tie_setup, monkeypatch, budget_rule):
+        # the level counts and each kind of sample own one generator, however
+        # many levels a run draws; the nested estimators build one per stream
+        model, prior, factored = tie_setup
+        built = []
+        generator = RngStream.generator
+
+        def counting(stream):
+            built.append(stream.path)
+            return generator(stream)
+
+        monkeypatch.setattr(RngStream, "generator", counting)
+        for variant in ("single", "coupled"):
+            built.clear()
+            r = evpi_mlmc(
+                model, prior, DIST, 4096, variant, RngStream(57),
+                budget_rule=budget_rule,
+            )
+            assert len(r.per_level) >= 3
+            assert sorted(built) == [(0,), (1,)]
+            built.clear()
+            r = evppi_mlmc(
+                model, factored, prior, DIST, 8192, variant, variant,
+                rng=RngStream(57), budget_rule=budget_rule,
+            )
+            assert len(r.per_level) >= 3
+            assert sorted(built) == [(0,), (1,), (2,), (3,)]
+        built.clear()
+        evpi_nested(model, prior, outer_draws=64, baseline_draws=64, rng=RngStream(57))
+        assert sorted(built) == [(0,), (1,)]
+        built.clear()
+        evppi_nested(
+            model, factored, prior, outer_draws=16, inner_draws=4, baseline_draws=64,
+            rng=RngStream(57),
+        )
+        assert sorted(built) == [(0,), (1,), (2,)]
 
     def test_budget_respected(self, tie_setup):
         model, prior, factored = tie_setup

@@ -16,6 +16,7 @@ from voimc import (
     render_csv,
     run_plan,
 )
+from voimc import experiment
 from voimc.cli import main as cli_main
 from voimc.experiment import _quartiles, _run_cells, fit_slope, summarize
 
@@ -240,6 +241,22 @@ class TestRunPlan:
         parallel = run_plan(plan, workers=2)
         assert serial == again
         assert serial == parallel
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_model_built_once_per_plan(self, benchmark_model_path, monkeypatch, workers):
+        # counted in the caller, which builds the model before it forks and
+        # then runs a share of the six cells itself
+        built = []
+        make = experiment.make_gaussian_model
+
+        def counting(*args):
+            built.append(args)
+            return make(*args)
+
+        monkeypatch.setattr(experiment, "make_gaussian_model", counting)
+        plan = ExperimentPlan("evppi-coupled", (64, 256), 3, benchmark_model_path, seed=6)
+        run_plan(plan, workers=workers)
+        assert len(built) == 1
 
     def test_workers_below_one_rejected(self, benchmark_model_path):
         plan = ExperimentPlan("evpi-nested", (16,), 1, benchmark_model_path)
