@@ -12,12 +12,14 @@ raises prints the error instead.  The runs cover all six estimators, the
 multilevel ones under both budget rules; the tie and offset Gaussian
 benchmarks with revealed subsets (1,2), (3,1) and all five coordinates;
 budgets 2^8, 2^12 and 2^16 (the nested estimators at every power of two
-from 2^8 to 2^16, so that their calls cross the helper-thread gate) and
-seeds 1-3; the finite-support model of ``tests/finite_support.py``; and
-payoffs of 1, 3 and 9 decisions returned in C and in Fortran order.  Then
-come the sha256 of the CSV and of stderr of the criterion-9 study
-(``voimc study``, budgets 256, 1024 and 4096, 20 replications, seed 17) for
-every estimator at ``--workers`` 1 and 2.
+from 2^8 to 2^16, so that their calls cross both the helper-thread gate and
+the chunk boundary, 2^14 rows each) and seeds 1-3; the finite-support model
+of ``tests/finite_support.py``; and payoffs of 1, 3 and 9 decisions returned
+in C and in Fortran order.  Then come the sha256 of the CSV and of stderr
+of the criterion-9 study (``voimc study``, budgets 256, 1024 and 4096, 20
+replications, seed 17) for every estimator at ``--workers`` 1 and 2.
+``--tiny`` runs the nested estimators at 2^13, 2^14 and 2^15, so that they
+still cross both boundaries.
 
 No reference output is stored.  That a change keeps every bit is shown by
 an empty ``diff`` between this script's output on the parent and on the
@@ -153,11 +155,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
         "--tiny", action="store_true",
-        help="budget 2^8 (nested: 2^13 and 2^14), seed 1, a 2-replication study",
+        help="budget 2^8 (nested: 2^13 to 2^15), seed 1, a 2-replication study",
     )
     tiny = parser.parse_args().tiny
-    if tiny:  # the nested budgets lie on either side of the helper-thread gate
-        lines = estimator_lines((2**8,), (2**13, 2**14), (1,))
+    if tiny:  # nested budgets on either side of the gate and the chunk boundary
+        lines = estimator_lines((2**8,), (2**13, 2**14, 2**15), (1,))
         studies = study_lines("16,64", "2")
     else:
         powers = (8, 12, 16)

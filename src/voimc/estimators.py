@@ -21,13 +21,16 @@ so), and the level-1 single and coupled terms scale the same gap, so their
 coupling identity holds to the bit.  Tests rely on all three properties.  A
 multilevel run needs only how many draws land on each level; the draws are
 sampled level after level from one stream per kind of sample and evaluated
-in chunks, stacked into one payoff call and one `_terms` fold per part and
+in chunks of at most ``_BATCH_ROWS`` rows (`_chunks`, as for the nested
+estimators), stacked into one payoff call and one `_terms` fold per part and
 chunk.  The fold reduces each draw on its own, so every term has the bits
 it would have alone, whatever the chunk size.  The nested estimators reduce
 by ``_fold_sum``, a left-to-right running sum: the baseline over its rows,
 chunk by chunk into running totals, and the outer term over each draw's
 inner rows.  So their bits do not depend on the payoff array's memory
 layout (C or Fortran order, a strided view) or on its number of decisions.
+The running totals and moments, merged chunk by chunk, depend on the chunk
+size to rounding.
 
 The best decision is taken by ``_best``, one ``np.maximum`` per decision
 column, in `_terms` and in the outer term of the nested estimators.  A max
@@ -75,11 +78,9 @@ _BUDGET_RULES = ("expected", "prefix")
 # refused before it is sampled.
 _MAX_DRAW_BYTES = 2**30
 
-# Most payoff rows per part that one `_run` chunk stacks into a payoff call.
+# Most payoff rows per part that one chunk stacks into a payoff call, in
+# every estimator: a level of `_run`, the nested outer term and the baseline.
 _BATCH_ROWS = 2**14
-
-# Largest sample batch the nested estimators draw and evaluate at once.
-_NESTED_CHUNK = 65536
 
 # Largest nested call, in payoff rows (outer*inner + baseline), that runs its
 # baseline term on the calling thread after the outer term.  Up to here a
@@ -195,12 +196,8 @@ def _fold_sum(values: np.ndarray, axis: int) -> np.ndarray:
 
     numpy's own sum folds pairwise when the axis is contiguous in memory and
     in sequence otherwise, and it is slow when the other axes are narrow; the
-    last entry of a running sum is neither.  An axis of length one is its own
-    sum, taken as it is: a running sum over it would call its inner loop once
-    per entry.
+    last entry of a running sum is neither.
     """
-    if values.shape[axis] == 1:
-        return values.take(0, axis)
     return np.cumsum(values, axis).take(-1, axis)
 
 
@@ -314,11 +311,11 @@ def _check_draw(draw: str, rows: int, dimension: int) -> None:
         )
 
 
-def _chunks(count: int, rows: int, max_rows: int) -> Iterator[int]:
+def _chunks(count: int, rows: int) -> Iterator[int]:
     """Sizes of the chunks that ``count`` draws of ``rows`` rows each take:
-    whole draws, at most ``max_rows`` rows (one draw if a single draw is
-    larger)."""
-    step = max(1, max_rows // rows)
+    whole draws, at most ``_BATCH_ROWS`` rows (one draw if a single draw is
+    larger).  Every estimator's chunk loop takes its sizes from here."""
+    step = max(1, _BATCH_ROWS // rows)
     for start in range(0, count, step):
         yield min(step, count - start)
 
@@ -352,9 +349,9 @@ def _accumulate_best_means(
     stop: threading.Event,
 ) -> float:
     """max_d of the per-decision mean over ``draws`` prior samples, in chunks
-    of at most ``_NESTED_CHUNK`` rows.  Each chunk's per-decision sums are
-    one left-to-right fold over its rows (`_fold_sum`), added to running
-    totals, so the bits do not depend on the payoffs' memory layout.
+    of at most ``_BATCH_ROWS`` rows (`_chunks`).  Each chunk's per-decision
+    sums are one left-to-right fold over its rows (`_fold_sum`), added to
+    running totals, so the bits do not depend on the payoffs' memory layout.
 
     The max of means, not the mean of maxes: it converges from above (in
     expectation) to the best expected payoff.  Stops, returning a meaningless
@@ -362,7 +359,7 @@ def _accumulate_best_means(
     """
     rows = _prior_rows(prior)
     sums = np.zeros(model.n_decisions, dtype=np.float64)
-    for n in _chunks(draws, 1, _NESTED_CHUNK):
+    for n in _chunks(draws, 1):
         sums += _fold_sum(model.payoff_matrix(rows(rng, n, 1)), 0)
         if stop.is_set():
             break
@@ -383,7 +380,9 @@ def _nested(
     ``inner`` rows, minus the baseline term.
 
     ``rows`` samples them from ``rng.child(k)``, k in ``streams``, in chunks
-    of whole draws of at most ``_NESTED_CHUNK`` rows.  The baseline term is
+    of whole draws of at most ``_BATCH_ROWS`` rows (`_chunks`).  A one-row
+    draw is its own mean; a longer draw's mean is one left-to-right fold over
+    its rows (`_fold_sum`) divided by ``inner``.  The baseline term is
     `_accumulate_best_means` over ``baseline`` prior samples from
     ``rng.child(1)``.  A call of at most ``_INLINE_ROWS`` payoff rows runs it
     on this thread after the outer term; a larger call runs it on one helper
@@ -409,12 +408,12 @@ def _nested(
             best_means = helper.submit(best_means).result
         moments = _RunningMoments()
         try:
-            for n in _chunks(outer, inner, _NESTED_CHUNK):
+            for n in _chunks(outer, inner):
                 payoffs = model.payoff_matrix(rows(*gens, n, inner))
-                sums = _fold_sum(payoffs.reshape(n, inner, -1), 1)
-                if inner > 1:  # a sum over one row is its mean, bit for bit
-                    sums /= inner
-                moments.add_many(_best(sums))
+                if inner > 1:
+                    payoffs = _fold_sum(payoffs.reshape(n, inner, -1), 1)
+                    payoffs /= inner
+                moments.add_many(_best(payoffs))
         except BaseException:
             stop.set()
             raise
@@ -452,7 +451,6 @@ def evpi_nested(
     """
     outer = _check_int(outer_draws, "outer_draws", 1)
     baseline = _check_int(baseline_draws, "baseline_draws", 1)
-    # the mean over one row is that row, bit for bit
     return _nested(model, prior, _prior_rows(prior), (0,), outer, 1, baseline, rng)
 
 
@@ -548,7 +546,7 @@ def _run(
     for level in np.flatnonzero(counts).tolist():
         cost = dist.cost(level)
         per_level[level] = _RunningMoments()
-        for m in _chunks(int(counts[level]), cost, _BATCH_ROWS):
+        for m in _chunks(int(counts[level]), cost):
             y, *z = (
                 _terms(model.payoff_matrix(rows(*g, m, cost)).reshape(m, cost, -1),
                        dist, level, variant)

@@ -38,7 +38,6 @@ from .rng import RngStream
 from .validate import ESTIMATOR_NAMES, _check_choice, _check_int
 
 __all__ = [
-    "ESTIMATOR_NAMES",
     "ExperimentPlan",
     "ReplicateRecord",
     "BudgetSummary",

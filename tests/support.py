@@ -19,7 +19,6 @@ from voimc import (
     PriorSampler,
     analytic_evppi,
 )
-from voimc import estimators
 from voimc.estimators import (
     EstimateResult,
     _chunks,
@@ -191,10 +190,10 @@ def icbrt(n: int) -> int:
 
 def serial_baseline(model, prior, draws: int, gen) -> float:
     """The nested baseline term as a plain loop: ``draws`` prior rows from
-    ``gen`` in chunks of ``_NESTED_CHUNK``, each chunk summed row by row, left
+    ``gen`` in chunks of ``_BATCH_ROWS``, each chunk summed row by row, left
     to right, and added to per-decision running totals; then the best mean."""
     totals = np.zeros(model.n_decisions)
-    for n in _chunks(draws, 1, estimators._NESTED_CHUNK):
+    for n in _chunks(draws, 1):
         payoffs = model.payoff_matrix(prior.draw(gen, n))
         chunk = payoffs[0].copy()
         for row in payoffs[1:]:
@@ -209,17 +208,17 @@ def serial_nested(
     """`evpi_nested` (``factored`` None) or `evppi_nested` computed on one
     thread: the outer chunk loop to the end, each draw's inner rows summed
     left to right, then `serial_baseline`, on the same child streams and the
-    same ``_NESTED_CHUNK``."""
+    same ``_BATCH_ROWS`` chunks."""
     moments = _RunningMoments()
     if factored is None:
         gen = rng.child(0).generator()
-        for n in _chunks(outer_draws, 1, estimators._NESTED_CHUNK):
+        for n in _chunks(outer_draws, 1):
             moments.add_many(model.payoff_matrix(prior.draw(gen, n)).max(axis=1))
         cost = outer_draws + baseline_draws
     else:
         revealed_gen = rng.child(0).generator()
         hidden_gen = rng.child(2).generator()
-        for n in _chunks(outer_draws, inner_draws, estimators._NESTED_CHUNK):
+        for n in _chunks(outer_draws, inner_draws):
             revealed = factored.draw_marginal(revealed_gen, n)
             hidden = factored.draw_conditional(revealed, hidden_gen, inner_draws)
             draws = model.payoff_matrix(factored.combine(revealed, hidden))

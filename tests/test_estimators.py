@@ -398,7 +398,7 @@ class TestConcurrentBaseline:
         # a 64-row chunk makes both terms span several chunks, most of them
         # ending on a partial one; numpy's own sum would fold the one-decision
         # baseline pairwise, the reference folds it in sequence
-        monkeypatch.setattr(estimators, "_NESTED_CHUNK", 64)
+        monkeypatch.setattr(estimators, "_BATCH_ROWS", 64)
         model, prior, factored = tie_setup
         if decisions != 2:
             model = {1: single_decision_model(), 3: three_decision_model()}[decisions]
@@ -426,7 +426,7 @@ class TestConcurrentBaseline:
     def test_baseline_sampler_error_matches_serial(
         self, tie_setup, monkeypatch, nested_path, evppi
     ):
-        monkeypatch.setattr(estimators, "_NESTED_CHUNK", 64)
+        monkeypatch.setattr(estimators, "_BATCH_ROWS", 64)
         model, prior, factored = tie_setup
 
         def draw(gen, size):
@@ -450,7 +450,7 @@ class TestConcurrentBaseline:
     ):
         # when the baseline fails too, the outer term's error still wins, as
         # in the serial order
-        monkeypatch.setattr(estimators, "_NESTED_CHUNK", 64)
+        monkeypatch.setattr(estimators, "_BATCH_ROWS", 64)
         model, prior, factored = tie_setup
 
         def poisoned(draw):
@@ -489,7 +489,7 @@ class TestConcurrentBaseline:
         # waits for that failure before each of its draws, so every chunk it
         # draws comes after it.  The chunk in hand may finish, one more may
         # start before the stop is seen, and no further one.
-        monkeypatch.setattr(estimators, "_NESTED_CHUNK", 64)
+        monkeypatch.setattr(estimators, "_BATCH_ROWS", 64)
         model, prior, factored = tie_setup
         caller = threading.get_ident()
         failed = threading.Event()
@@ -584,6 +584,67 @@ class TestConcurrentBaseline:
         )
         run()
         assert counts == [before]
+
+
+class TestOneChunkSize:
+    """Both nested terms chunk at 2**14 rows, `_BATCH_ROWS`, the chunk size
+    of the multilevel estimators."""
+
+    @staticmethod
+    def _recording(model: DecisionModel):
+        """``model`` with a payoff that records the thread and row count of
+        each call, under a lock; and the record."""
+        calls = []
+        lock = threading.Lock()
+
+        def payoff(xs):
+            with lock:
+                calls.append((threading.get_ident(), xs.shape[0]))
+            return model.payoff(xs)
+
+        return DecisionModel(model.decisions, payoff, model.dimension), calls
+
+    @pytest.mark.parametrize("evppi", [False, True], ids=["evpi", "evppi"])
+    def test_payoff_calls(self, tie_setup, evppi):
+        # 2**17 payoff rows put the baseline on the helper thread; the outer
+        # term stays on this one.  evppi chunks whole draws: 409 draws of 40
+        # inner rows fit in 2**14 rows, so 1,625 draws take 4 chunks
+        model, prior, factored = tie_setup
+        recording, calls = self._recording(model)
+        if evppi:
+            evppi_nested(
+                recording, factored, prior, outer_draws=1625, inner_draws=40,
+                baseline_draws=2**16, rng=RngStream(49),
+            )
+            outer_rows = [409 * 40] * 3 + [398 * 40]
+        else:
+            evpi_nested(
+                recording, prior, outer_draws=2**16, baseline_draws=2**16,
+                rng=RngStream(49),
+            )
+            outer_rows = [2**14] * 4
+        caller = threading.get_ident()
+        assert [rows for thread, rows in calls if thread == caller] == outer_rows
+        assert [rows for thread, rows in calls if thread != caller] == [2**14] * 4
+
+    @pytest.mark.parametrize("evppi", [False, True], ids=["evpi", "evppi"])
+    def test_peak_memory_is_one_chunk(self, tie_setup, monkeypatch, evppi):
+        # both terms on this thread, one after the other, so that the peak
+        # does not depend on how they overlap; a 2**14-row chunk of 5
+        # coordinates is 640 KiB
+        monkeypatch.setattr(estimators, "_INLINE_ROWS", 2**62)
+        model, prior, factored = tie_setup
+        run, _ = _nested_calls(
+            model, prior, factored if evppi else None,
+            outer_draws=2**14, baseline_draws=2**18, rng=RngStream(50),
+        )
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 # ---------------------------------------------------------------------------
