@@ -20,7 +20,10 @@ freezes the garbage collector's heap (`gc.freeze`) once `main` has returned
 and before the process exits, so the collections of the interpreter's
 finalization skip every object the run left alive: about 9 ms per process
 that loaded the library.  `main` itself never freezes: tests and library
-users call it in-process.
+users call it in-process.  Before `main`, and so before numpy loads, it sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
+where the user has not set them, so the payoffs' small matrix products run
+on the calling thread of every process.
 """
 
 from __future__ import annotations
@@ -192,6 +195,8 @@ def _entry() -> None:
     about 2 ms more, but it skips the atexit handlers and the flushing of
     the standard streams.
     """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -12,32 +12,35 @@ shared batch of base**l samples, and correction levels are drawn at random
 with compensating probability weights, so each draw is an unbiased reading of
 the whole telescope.
 
-Numerical layout: every block mean is produced by ``_fold_blocks``, a
-fixed-grouping sequential fold, and `_terms` builds each term from gaps
-whose two sides fold the same sub-blocks in the same order.  So models with
-a single decision or with constant payoffs give gaps of exactly 0.0, every
-gap is >= 0 entry by entry (and folds and sums of non-negative values stay
-so), and the level-1 single and coupled terms scale the same gap, so their
-coupling identity holds to the bit.  Tests rely on all three properties.  A
-multilevel run needs only how many draws land on each level; the draws are
-sampled level after level from one stream per kind of sample and evaluated
-in chunks of at most ``_BATCH_ROWS`` rows (`_chunks`, as for the nested
-estimators), stacked into one payoff call and one `_terms` fold per part and
-chunk.  The fold reduces each draw on its own, so every term has the bits
-it would have alone, whatever the chunk size.  The nested estimators reduce
-by ``_fold_sum``, a left-to-right running sum: the baseline over its rows,
+Numerical layout: `_terms` copies its chunk decision-major, (decisions,
+draws, rows), so every block mean is produced by ``_fold_blocks``, a
+fixed-grouping sequential fold along the contiguous last axis, and each
+term is built from gaps whose two sides fold the same sub-blocks in the
+same order.  So models with a single decision or with constant payoffs give
+gaps of exactly 0.0, every gap is >= 0 entry by entry (and folds and sums
+of non-negative values stay so), and the level-1 single and coupled terms
+scale the same gap, so their coupling identity holds to the bit.  Tests rely
+on all three properties.  A multilevel run needs only how many draws land on
+each level; the draws are sampled level after level from one stream per
+kind of sample and evaluated in chunks of at most ``_BATCH_ROWS`` rows
+(`_chunks`, as for the nested estimators), stacked into one payoff call and
+one `_terms` fold per part and chunk.  The fold reduces each draw on its
+own, so every term has the bits it would have alone, whatever the chunk
+size or the payoffs' memory layout.  The nested estimators reduce by
+``_fold_sum``, a left-to-right running sum: the baseline over its rows,
 chunk by chunk into running totals, and the outer term over each draw's
-inner rows.  So their bits do not depend on the payoff array's memory
-layout (C or Fortran order, a strided view) or on its number of decisions.
-The running totals and moments, merged chunk by chunk, depend on the chunk
-size to rounding.
+inner rows.  So their bits do not depend on the payoff array's memory layout
+(C or Fortran order, a strided view) or on its number of decisions.  The
+running totals and moments, merged chunk by chunk, depend on the chunk size
+to rounding.
 
 The best decision is taken by ``_best``, one ``np.maximum`` per decision
-column, in `_terms` and in the outer term of the nested estimators.  A max
+along the leading axis, in `_terms` and in the outer term of the nested
+estimators, which hands it its (draws, decisions) means transposed.  A max
 of finite values returns one of its operands unchanged, so it rounds
 nothing and its value does not depend on the order of comparison; only a
 tie between 0.0 and -0.0 can pick either zero.  ``_best`` then returns the
-later column's zero.  numpy's own reduction over the decision axis (numpy
+later decision's zero.  numpy's own reduction over the decision axis (numpy
 2.4.6) returns the same bits for up to 8 decisions, but from 9 on its
 vector loop may return the other zero.  The two zeros compare equal, so the
 estimates agree in value either way.
@@ -176,16 +179,17 @@ def _freeze_levels(acc: dict[int, _RunningMoments]) -> dict[int, LevelStats]:
 
 
 def _fold_blocks(values: np.ndarray, width: int) -> np.ndarray:
-    """Mean of consecutive length-``width`` groups along axis 1.
+    """Mean of consecutive length-``width`` groups along the last axis.
 
     Summation is explicit and left-to-right, entry by entry, so the grouping
-    is identical whatever the row count (axis 0) or trailing axes; the
-    exactness guarantees in the module docstring depend on that.
+    is identical whatever the leading axes; the exactness guarantees in the
+    module docstring depend on that.  Over a contiguous array each add is
+    one long loop with stride ``width``, not a loop per group.
     """
-    grouped = values.reshape(values.shape[0], -1, width, *values.shape[2:])
-    acc = grouped[:, :, 0] + grouped[:, :, 1]  # width >= 2: base >= 2
+    grouped = values.reshape(*values.shape[:-1], -1, width)
+    acc = grouped[..., 0] + grouped[..., 1]  # width >= 2: base >= 2
     for i in range(2, width):
-        acc += grouped[:, :, i]
+        acc += grouped[..., i]
     acc /= width
     return acc
 
@@ -202,14 +206,15 @@ def _fold_sum(values: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _best(payoffs: np.ndarray) -> np.ndarray:
-    """Max over the last (decision) axis, taken one column at a time.
+    """Max over the leading (decision) axis, taken one decision at a time.
 
-    Equal in value to numpy's max reduction over that axis, which is far
-    slower over a narrow trailing axis; see the module docstring for ties.
+    Each step is one ``np.maximum`` of two whole planes, where numpy's max
+    reduction over a narrow axis runs a short loop per entry; see the module
+    docstring for ties.
     """
-    best = payoffs[..., 0]
-    for j in range(1, payoffs.shape[-1]):
-        best = np.maximum(best, payoffs[..., j])
+    best = payoffs[0]
+    for j in range(1, payoffs.shape[0]):
+        best = np.maximum(best, payoffs[j])
     return best
 
 
@@ -218,6 +223,9 @@ def _terms(
 ) -> np.ndarray:
     """Probability-weighted level corrections of n draws, from (n, base**level,
     n_decisions) payoffs, in one pass over block sizes base**j, j = 1..level.
+    It folds one decision-major copy of the payoffs, whose rows are
+    contiguous: `_fold_blocks` folds its last (row) axis and `_best` reduces
+    its leading (decision) axis, each in long loops over whole planes.
 
     A block's gap is the mean of its base sub-blocks' best block means minus
     its own best block mean; it is >= 0, as averaging best values over
@@ -232,6 +240,8 @@ def _terms(
             f"expected {base**level} payoff rows for level {level}, "
             f"got {payoffs.shape[1]}"
         )
+    # (n_decisions, n, rows); one decision needs no copy
+    payoffs = np.ascontiguousarray(payoffs.transpose(2, 0, 1))
     # 1/tail(j) as (1/pmf(j)) * pmf(1): exact for the geometric law, and it
     # makes the level-1 coupled term bitwise pmf(1) times the single term
     head = dist.pmf(1)
@@ -413,7 +423,7 @@ def _nested(
                 if inner > 1:
                     payoffs = _fold_sum(payoffs.reshape(n, inner, -1), 1)
                     payoffs /= inner
-                moments.add_many(_best(payoffs))
+                moments.add_many(_best(payoffs.T))
         except BaseException:
             stop.set()
             raise

@@ -569,6 +569,30 @@ def test_entry_freezes_only_after_main_returns(monkeypatch):
         assert events == ["main"]
 
 
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("user", [None, "3"], ids=["unset", "user-set"])
+def test_entry_pins_blas_threads_unless_set(monkeypatch, user):
+    # `main` is replaced by one that reports what it sees: the thread counts,
+    # and whether numpy, which reads them once as it loads, has loaded yet
+    for name in _BLAS_THREADS:
+        monkeypatch.delenv(name, raising=False)
+    if user is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", user)
+    code = (
+        "import os, sys\n"
+        "from voimc import cli\n"
+        f"names = {_BLAS_THREADS!r}\n"
+        "cli.main = lambda: print(*(os.environ.get(n) for n in names),"
+        " 'numpy' in sys.modules) or 0\n"
+        "cli._entry()\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == [user or "1", "1", "1", "False"]
+
+
 def test_script_and_module_enter_through_the_same_function():
     # read with a regex: tomllib needs Python 3.11
     root = Path(__file__).resolve().parents[1]

@@ -345,12 +345,46 @@ def _decisions(count: int, layout: str) -> DecisionModel:
     return DecisionModel(tuple(range(count)), payoff, 5)
 
 
-class TestNestedPayoffLayout:
-    """Both nested terms fold in sequence whatever the payoff's layout."""
+def _layout_run(call: str, model, prior, factored, rng):
+    """Run the estimator that ``call`` names ("evpi-nested", "evppi-nested",
+    or "<evpi|evppi>-mlmc-<variant>-<budget rule>") at a fixed size."""
+    if call == "evpi-nested":
+        return evpi_nested(
+            model, prior, outer_draws=3000, baseline_draws=5000, rng=rng
+        )
+    if call == "evppi-nested":
+        return evppi_nested(
+            model, factored, prior, outer_draws=300, inner_draws=37,
+            baseline_draws=5000, rng=rng,
+        )
+    estimator, _, variant, rule = call.split("-")
+    if estimator == "evpi":
+        return evpi_mlmc(model, prior, DIST, 2**13, variant, rng, budget_rule=rule)
+    return evppi_mlmc(
+        model, factored, prior, DIST, 2**13, variant, variant, rng=rng,
+        budget_rule=rule,
+    )
 
-    @pytest.mark.parametrize("evppi", [False, True], ids=["evpi", "evppi"])
+
+class TestPayoffLayout:
+    """Every estimator's bits are the same whatever the payoff's layout: the
+    nested terms fold in sequence, and `_terms` folds a decision-major copy."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "evpi-nested",
+            "evppi-nested",
+            *(
+                f"{estimator}-mlmc-{variant}-{rule}"
+                for estimator in ("evpi", "evppi")
+                for variant in ("single", "coupled")
+                for rule in ("expected", "prefix")
+            ),
+        ],
+    )
     @pytest.mark.parametrize("count", [1, 2, 3, 9])
-    def test_bits_do_not_depend_on_layout(self, tie_setup, evppi, count):
+    def test_bits_do_not_depend_on_layout(self, tie_setup, call, count):
         _, prior, factored = tie_setup
         results = []
         for layout in ("C", "F", "strided"):
@@ -359,17 +393,15 @@ class TestNestedPayoffLayout:
             # payoff_matrix hands the layout on as the payoff returned it
             held = {"C": flags.c_contiguous, "F": flags.f_contiguous}
             assert held.get(layout, not flags.forc)
-            if evppi:
-                result = evppi_nested(
-                    model, factored, prior, outer_draws=300, inner_draws=37,
-                    baseline_draws=5000, rng=RngStream(45, (count,)),
-                )
-            else:
-                result = evpi_nested(
-                    model, prior, outer_draws=3000, baseline_draws=5000,
-                    rng=RngStream(45, (count,)),
-                )
-            results.append((result.estimate.hex(), result.term_variance.hex()))
+            result = _layout_run(call, model, prior, factored, RngStream(45, (count,)))
+            results.append((
+                result.estimate.hex(),
+                result.term_variance.hex(),
+                [
+                    (level, s.count, s.mean.hex(), s.second_moment.hex())
+                    for level, s in result.per_level.items()
+                ],
+            ))
         assert results[1] == results[0]
         assert results[2] == results[0]
 
@@ -780,7 +812,9 @@ def stacked_payoffs(draw):
 
 
 class TestBest:
-    """`_best` is the max over the decision axis, one column at a time."""
+    """`_best` is the max over the leading (decision) axis, one decision at a
+    time; these payoffs keep decisions last, as numpy's reference max reads
+    them, and reach `_best` through `np.moveaxis`."""
 
     @pytest.mark.parametrize("k", range(1, 9))
     @pytest.mark.parametrize("rows", [(3,), (64,), (5, 8), (4, 33)], ids=str)
@@ -791,7 +825,7 @@ class TestBest:
             gen.choice([-1.5, -0.0, 0.0, 0.0, 2.0], size=(*rows, k)),
             gen.normal(size=(*rows, k)),
         ):
-            got = _best(payoffs)
+            got = _best(np.moveaxis(payoffs, -1, 0))
             assert got.tobytes() == payoffs.max(axis=-1).tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 9, 12, 17])
@@ -799,7 +833,8 @@ class TestBest:
         gen = np.random.default_rng(100 + k)
         # rounded payoffs tie exactly; + 0.0 turns -0.0 into 0.0
         payoffs = np.round(gen.normal(size=(4, 33, k)) * 2) + 0.0
-        assert _best(payoffs).tobytes() == payoffs.max(axis=-1).tobytes()
+        got = _best(np.moveaxis(payoffs, -1, 0))
+        assert got.tobytes() == payoffs.max(axis=-1).tobytes()
 
     @pytest.mark.parametrize("k", [2, 9, 12])
     def test_signed_zero_tie_returns_later_column(self, k):
@@ -809,7 +844,7 @@ class TestBest:
         payoffs = np.zeros((2, 40, k))
         payoffs[0, :, -1] = -0.0
         payoffs[1, :, 0] = -0.0
-        got = _best(payoffs)
+        got = _best(np.moveaxis(payoffs, -1, 0))
         assert np.signbit(got[0]).all() and not np.signbit(got[1]).any()
 
 
