@@ -5,16 +5,19 @@ Run from a checkout root, with nothing but the library and numpy:
     python scripts/bits.py > bits.txt
     python scripts/bits.py --tiny > bits.txt   # a few seconds, for tests
 
-Each estimator run prints one line: what ran, then its estimate, term
-variance, draw count and cost, and for a multilevel run every realized
-level's count, mean and second moment, floats as ``float.hex``.  A run that
-raises prints the error instead.  The runs cover all six estimators, the
-multilevel ones under both budget rules; the tie and offset Gaussian
-benchmarks with revealed subsets (1,2), (3,1) and all five coordinates;
-budgets 2^8, 2^12 and 2^16 (the nested estimators at every power of two
-from 2^8 to 2^16, so that their calls cross both the helper-thread gate and
-the chunk boundary, 2^14 rows each) and seeds 1-3; the finite-support model
-of ``tests/finite_support.py``; and payoffs of 1, 3 and 9 decisions returned
+Each estimator run is one call of `voimc.experiment.run_estimator`, the
+call a ``voimc study`` cell makes, so it splits its budget as the study
+does, on the stream ``RngStream(seed)`` and under the named budget rule.
+It prints one line: what ran, then its estimate, term variance, draw count
+and cost, and for a multilevel run every realized level's count, mean and
+second moment, floats as ``float.hex``.  A run that raises prints the error
+instead.  The runs cover all six estimators, the multilevel ones under both
+budget rules; the tie and offset Gaussian benchmarks with revealed subsets
+(1,2), (3,1) and all five coordinates; budgets 2^8, 2^12 and 2^16 (the
+nested estimators at every power of two from 2^8 to 2^16, so that their
+calls cross both the helper-thread gate and the chunk boundary, 2^14 rows
+each) and seeds 1-3; the finite-support model of
+``tests/finite_support.py``; and payoffs of 1, 3 and 9 decisions returned
 in C and in Fortran order.  Then come the sha256 of the CSV and of stderr
 of the criterion-9 study (``voimc study``, budgets 256, 1024 and 4096, 20
 replications, seed 17) for every estimator at ``--workers`` 1 and 2.
@@ -43,7 +46,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import voimc  # noqa: E402
 from finite_support import finite_support_model  # noqa: E402
-from voimc.estimators import nested_allocation  # noqa: E402
+from voimc.experiment import run_estimator  # noqa: E402
 
 ESTIMATORS = voimc.ESTIMATOR_NAMES
 RULES = ("expected", "prefix")
@@ -61,30 +64,6 @@ def decisions(count: int, order: str) -> voimc.DecisionModel:
     shifts = np.sin(np.arange(count, dtype=float)) / 3
     return voimc.DecisionModel(
         tuple(range(count)), lambda xs: np.asarray(xs @ weights + shifts, order=order), 5
-    )
-
-
-def run(estimator, model, prior, factored, budget, rule, seed):
-    """One estimator call at ``budget``, split as `voimc study` splits it."""
-    rng = voimc.RngStream(seed)
-    if estimator == "evpi-nested":
-        return voimc.evpi_nested(
-            model, prior, outer_draws=budget, baseline_draws=budget, rng=rng
-        )
-    if estimator == "evppi-nested":
-        inner, outer = nested_allocation(budget)
-        return voimc.evppi_nested(
-            model, factored, prior, outer_draws=outer, inner_draws=inner,
-            baseline_draws=budget, rng=rng,
-        )
-    variant = estimator.rsplit("-", 1)[1]
-    if estimator.startswith("evpi-"):
-        return voimc.evpi_mlmc(
-            model, prior, DIST, budget, variant, rng, budget_rule=rule
-        )
-    return voimc.evppi_mlmc(
-        model, factored, prior, DIST, budget, variant, variant, rng=rng,
-        budget_rule=rule,
     )
 
 
@@ -115,15 +94,17 @@ def estimator_lines(budgets, nested_budgets, seeds):
         for order in "CF":
             model = decisions(count, order)
             cases.append((f"decisions{count}{order}", (model, prior, factored), ESTIMATORS))
-    for case, (model, prior, factored), names in cases:
+    for case, models, names in cases:
         for estimator in names:
             nested = estimator.endswith("nested")
+            # a nested call reads no budget rule; its label shows "-"
             for rule in ("-",) if nested else RULES:
                 for budget in nested_budgets if nested else budgets:
                     for seed in seeds:
                         label = f"{case} {estimator} {rule} {budget} {seed}"
-                        yield line(label, lambda: run(
-                            estimator, model, prior, factored, budget, rule, seed
+                        yield line(label, lambda: run_estimator(
+                            estimator, models, DIST, budget, voimc.RngStream(seed),
+                            budget_rule=rule,
                         ))
 
 

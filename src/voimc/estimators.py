@@ -262,11 +262,9 @@ def _terms(
             if j > 1:
                 gap += _fold_blocks(total, base)
             total = gap
-    if variant == "single":
-        return gap[:, 0] / dist.pmf(level)
     if coupled:
         return total[:, 0]
-    raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    return gap[:, 0] / dist.pmf(level)
 
 
 # ---------------------------------------------------------------------------

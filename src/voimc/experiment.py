@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import (
+    EstimateResult,
     evpi_mlmc,
     evpi_nested,
     evppi_mlmc,
@@ -45,6 +46,7 @@ __all__ = [
     "summarize",
     "fit_slope",
     "run_plan",
+    "run_estimator",
     "run_replication",
     "render_csv",
 ]
@@ -181,63 +183,50 @@ def fit_slope(points) -> float:
     return float(-slope)
 
 
+def run_estimator(
+    estimator: str, models: tuple, dist: LevelDistribution, budget: int,
+    rng: RngStream, *, budget_rule: str,
+) -> EstimateResult:
+    """One call of ``estimator`` on ``models`` (model, prior, factored), with
+    ``budget`` split as a study splits it: evpi-nested takes ``budget`` outer
+    and baseline draws, evppi-nested the `nested_allocation` of ``budget`` and
+    a ``budget``-draw baseline, and a multilevel name spends ``budget`` on
+    levels of ``dist`` under ``budget_rule``, one variant for both parts."""
+    _check_choice(estimator, "estimator", ESTIMATOR_NAMES)
+    model, prior, factored = models
+    kind, variant = estimator.split("-")
+    if estimator == "evpi-nested":
+        return evpi_nested(
+            model, prior, outer_draws=budget, baseline_draws=budget, rng=rng
+        )
+    if estimator == "evppi-nested":
+        inner, outer = nested_allocation(budget)
+        return evppi_nested(
+            model, factored, prior, outer_draws=outer, inner_draws=inner,
+            baseline_draws=budget, rng=rng,
+        )
+    if kind == "evpi":
+        return evpi_mlmc(
+            model, prior, dist, budget, variant, rng, budget_rule=budget_rule
+        )
+    return evppi_mlmc(
+        model, factored, prior, dist, budget, variant, variant, rng=rng,
+        budget_rule=budget_rule,
+    )
+
+
 def run_replication(
     plan: ExperimentPlan, models: tuple, budget: int, replication: int
 ) -> ReplicateRecord:
-    """Run one (budget, replication) cell of ``plan`` on its own stream.
-
-    The cell takes the plan's model: ``models`` is the (model, prior,
-    factored) that `run_plan` builds once.  Multilevel cells spend their
-    budget through the prefix rule, so a replication never costs more than
-    its budget.
-    """
-    model, prior, factored = models
+    """One (budget, replication) cell of ``plan`` on its own stream and the
+    ``models`` `run_plan` builds once, run by `run_estimator` under the prefix
+    rule, so that it never costs more than its budget."""
     stream = RngStream(plan.seed).child(budget, replication)
+    dist = LevelDistribution(plan.base, plan.level_ratio)
     try:
-        if plan.estimator == "evpi-nested":
-            result = evpi_nested(
-                model,
-                prior,
-                outer_draws=budget,
-                baseline_draws=budget,
-                rng=stream,
-            )
-        elif plan.estimator == "evppi-nested":
-            inner, outer = nested_allocation(budget)
-            result = evppi_nested(
-                model,
-                factored,
-                prior,
-                outer_draws=outer,
-                inner_draws=inner,
-                baseline_draws=budget,
-                rng=stream,
-            )
-        else:
-            dist = LevelDistribution(plan.base, plan.level_ratio)
-            variant = plan.estimator.rsplit("-", 1)[1]
-            if plan.estimator.startswith("evpi-"):
-                result = evpi_mlmc(
-                    model,
-                    prior,
-                    dist,
-                    budget,
-                    variant,
-                    stream,
-                    budget_rule="prefix",
-                )
-            else:
-                result = evppi_mlmc(
-                    model,
-                    factored,
-                    prior,
-                    dist,
-                    budget,
-                    variant_y=variant,
-                    variant_z=variant,
-                    rng=stream,
-                    budget_rule="prefix",
-                )
+        result = run_estimator(
+            plan.estimator, models, dist, budget, stream, budget_rule="prefix"
+        )
     except BudgetExhaustedError:
         return ReplicateRecord(replication, None, 0, 0)
     return ReplicateRecord(

@@ -163,8 +163,13 @@ def evppi_from_moments(mean_total: float, std_revealed: float) -> float:
     Computed as pdf(z)*s - cdf(z)*m for m > 0 and pdf(z)*s + cdf(-z)*m
     otherwise (z = -m/s), which avoids the cancellation in the textbook
     (1-cdf(z))*m + pdf(z)*s - max(m, 0) when |m| is large.  Returns 0 for a
-    degenerate (empty) revealed block.
+    degenerate (empty) revealed block; a non-finite input raises ValueError.
     """
+    if not (math.isfinite(mean_total) and math.isfinite(std_revealed)):
+        raise ValueError(
+            f"mean_total and std_revealed must be finite, got {mean_total!r} "
+            f"and {std_revealed!r}"
+        )
     if std_revealed < 0.0:
         raise ValueError("std_revealed must be non-negative")
     if std_revealed == 0.0:

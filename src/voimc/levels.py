@@ -90,9 +90,12 @@ class LevelDistribution:
         """Counts of ``n`` i.i.d. levels, indexed by level up to the deepest.
 
         Level l takes Binomial(remaining, 1 - ratio) of the draws not placed
-        below it, which is exact because pmf(l) / tail(l) = 1 - ratio."""
+        below it, which is exact because pmf(l) / tail(l) = 1 - ratio.  An
+        ``n`` of 2**63 or more, beyond numpy's binomial, raises ValueError."""
         counts = [0]
         remaining = _check_int(n, "n", 0)
+        if remaining >= 2**63:
+            raise ValueError(f"n must be below 2**63, numpy's binomial bound, got {n}")
         while remaining:
             counts.append(int(rng.binomial(remaining, 1.0 - self.ratio)))
             remaining -= counts[-1]
@@ -105,13 +108,13 @@ def optimal_ratio(base: int, decay: float) -> float:
     ``decay`` is the assumed exponent q in the second-moment model
     E[correction(l)^2] ~ base**(-2*q*l); the result always satisfies
     base**(-2q) < ratio < base**(-1), the window on which both the estimator
-    variance and the expected cost stay finite.  Requires decay > 1/2.
+    variance and the expected cost stay finite.  Requires 1/2 < decay < inf.
     """
     _check_int(base, "base", 2)
-    if decay <= 0.5:
+    if not 0.5 < decay < math.inf:  # NaN fails both comparisons
         raise ValueError(
-            "decay must exceed 1/2: below that no geometric ratio keeps both "
-            "variance and expected cost finite"
+            "decay must be finite and exceed 1/2: below that no geometric ratio "
+            f"keeps both variance and expected cost finite; got {decay!r}"
         )
     return float(base) ** (-(2.0 * decay + 1.0) / 2.0)
 

@@ -1297,6 +1297,18 @@ class TestMlmcEstimators:
                 budget_rule=budget_rule,
             )
 
+    def test_draw_count_beyond_binomial_refused(self, tie_setup):
+        # the expected rule turns 2**70 into about 2.7e20 draws, beyond
+        # numpy's binomial, and refuses them by count; 2**64 still gives
+        # fewer than 2**63 draws, whose deepest level the memory bound refuses
+        model, prior, factored = tie_setup
+        with pytest.raises(ValueError, match=r"n must be below 2\*\*63"):
+            evpi_mlmc(model, prior, DIST, 2**70, "coupled", RngStream(0))
+        with pytest.raises(ValueError, match=r"n must be below 2\*\*63"):
+            evppi_mlmc(model, factored, prior, DIST, 2**70, rng=RngStream(0))
+        with pytest.raises(MemoryError, match="per-draw bound"):
+            evpi_mlmc(model, prior, DIST, 2**64, "coupled", RngStream(0))
+
     @staticmethod
     def _peak_before_first_sample(run) -> int:
         """tracemalloc peak of ``run(prior)`` up to the prior's first draw."""

@@ -9,16 +9,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voimc import (
+    ESTIMATOR_NAMES,
     BudgetExhaustedError,
     ExperimentPlan,
+    LevelDistribution,
     RngStream,
     analytic_evppi,
+    evpi_mlmc,
+    evpi_nested,
+    evppi_mlmc,
+    evppi_nested,
+    make_gaussian_model,
+    optimal_ratio,
     render_csv,
     run_plan,
 )
 from voimc import experiment
 from voimc.cli import main as cli_main
-from voimc.experiment import _quartiles, _run_cells, fit_slope, summarize
+from voimc.experiment import (
+    _quartiles,
+    _run_cells,
+    fit_slope,
+    run_estimator,
+    summarize,
+)
 
 from support import TIE_CONFIG, fresh_python
 
@@ -430,6 +444,68 @@ class TestNestedStudyWiring:
         row = report.records[4096][0]
         assert row.n_draws == 256  # outer count: 4096**(2/3)
         assert row.cost_used == 256 * 16 + 4096
+
+
+# each estimator name's documented split of a budget C = 2**12 as a direct
+# call: nested_allocation(2**12) is 16 inner and 256 outer draws
+_SPLITS = {
+    "evpi-nested": lambda m, p, f, dist, c, rng, rule: evpi_nested(
+        m, p, outer_draws=c, baseline_draws=c, rng=rng
+    ),
+    "evppi-nested": lambda m, p, f, dist, c, rng, rule: evppi_nested(
+        m, f, p, outer_draws=256, inner_draws=16, baseline_draws=c, rng=rng
+    ),
+    "evpi-single": lambda m, p, f, dist, c, rng, rule: evpi_mlmc(
+        m, p, dist, c, "single", rng, budget_rule=rule
+    ),
+    "evpi-coupled": lambda m, p, f, dist, c, rng, rule: evpi_mlmc(
+        m, p, dist, c, "coupled", rng, budget_rule=rule
+    ),
+    "evppi-single": lambda m, p, f, dist, c, rng, rule: evppi_mlmc(
+        m, f, p, dist, c, "single", "single", rng=rng, budget_rule=rule
+    ),
+    "evppi-coupled": lambda m, p, f, dist, c, rng, rule: evppi_mlmc(
+        m, f, p, dist, c, "coupled", "coupled", rng=rng, budget_rule=rule
+    ),
+}
+
+
+class TestRunEstimator:
+    DIST = LevelDistribution(2, optimal_ratio(2, 1))
+
+    @pytest.mark.parametrize("rule", ["expected", "prefix"])
+    @pytest.mark.parametrize("name", ESTIMATOR_NAMES)
+    def test_each_name_is_its_documented_call(self, name, rule):
+        # a nested name reads no rule, so both rules give its one call
+        models = make_gaussian_model(TIE_CONFIG, (1, 2))
+        got = run_estimator(
+            name, models, self.DIST, 2**12, RngStream(7), budget_rule=rule
+        )
+        want = _SPLITS[name](*models, self.DIST, 2**12, RngStream(7), rule)
+        assert got.estimate.hex() == want.estimate.hex()
+        assert got.term_variance.hex() == want.term_variance.hex()
+        assert (got.n_draws, got.cost_used) == (want.n_draws, want.cost_used)
+
+    def test_unknown_name_refused(self):
+        models = make_gaussian_model(TIE_CONFIG, (1, 2))
+        with pytest.raises(ValueError, match="estimator must be one of"):
+            run_estimator(
+                "foo-single", models, self.DIST, 2**12, RngStream(7),
+                budget_rule="prefix",
+            )
+
+    def test_study_cells_run_the_prefix_rule(self, benchmark_model_path, monkeypatch):
+        rules = []
+        run = experiment.run_estimator
+
+        def recording(*args, budget_rule):
+            rules.append(budget_rule)
+            return run(*args, budget_rule=budget_rule)
+
+        monkeypatch.setattr(experiment, "run_estimator", recording)
+        for name in ESTIMATOR_NAMES:
+            run_plan(ExperimentPlan(name, (64,), 2, benchmark_model_path, seed=8))
+        assert rules == ["prefix"] * 12
 
 
 def _where(*job):

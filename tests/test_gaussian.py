@@ -110,6 +110,17 @@ class TestAnalyticValues:
             evppi_from_moments(2.0 + 0.5 - 3.0, 6.0)
         )
 
+    @pytest.mark.parametrize(
+        "mean, std",
+        [(0.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+         (0.0, math.inf)],
+        ids=repr,
+    )
+    def test_non_finite_moments_rejected(self, mean, std):
+        # the closed form would return nan for each
+        with pytest.raises(ValueError, match="must be finite"):
+            evppi_from_moments(mean, std)
+
     def test_large_positive_mean_value_vanishes(self):
         value = evppi_from_moments(10.0, 1.0)
         assert 0.0 <= value < 1e-20

@@ -92,6 +92,15 @@ class TestLevelDistribution:
                 dist.level_counts(object(), n)
         assert dist.level_counts(RngStream(1).generator(), np.int64(4)).sum() == 4
 
+    def test_draw_count_beyond_binomial_refused(self):
+        # numpy's binomial takes a C long: 2**63 draws are refused by name
+        # before the generator is touched, and one fewer are all placed
+        dist = LevelDistribution(2, 0.25)
+        with pytest.raises(ValueError, match=rf"n must be below 2\*\*63.*got {2**63}"):
+            dist.level_counts(object(), 2**63)
+        counts = dist.level_counts(RngStream(1).generator(), 2**63 - 1)
+        assert sum(map(int, counts)) == 2**63 - 1
+
     def test_expected_cost_closed_form(self):
         dist = LevelDistribution(2, BENCH_RATIO)
         assert dist.expected_cost() == pytest.approx(
@@ -199,6 +208,13 @@ class TestOptimalRatio:
             optimal_ratio(2, 0.5)
         with pytest.raises(ValueError):
             optimal_ratio(2, 0.2)
+
+    @pytest.mark.parametrize("decay", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_non_finite_decay_rejected(self, decay):
+        # NaN would give a nan ratio and +inf a 0.0 one, which the level law
+        # refuses only as a ratio; the decay itself is refused, by name
+        with pytest.raises(ValueError, match=f"decay must be finite .*got {decay!r}"):
+            optimal_ratio(2, decay)
 
 
 class _Uniforms:

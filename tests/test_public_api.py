@@ -5,9 +5,11 @@ blocks show it the same way; a name they use that drops out of
 ``voimc.__all__`` breaks them without failing any library test, so this
 module checks their sources statically.  It also checks statically that
 no library module but ``__init__.py`` names `draws_for_budget`, which only
-the benchmark uses, that no library module but ``rng.py`` names a random
-generator, and that no library module but ``validate.py`` names an integer
-type, so every integer argument goes through ``validate._check_int``.
+the benchmark uses, that no module or script but ``estimators.py`` and
+``experiment.py`` names `nested_allocation`, that no library module but
+``rng.py`` names a random generator, and that no library module but
+``validate.py`` names an integer type, so every integer argument goes
+through ``validate._check_int``.
 """
 
 import ast
@@ -126,6 +128,16 @@ def test_library_never_names_draws_for_budget(path):
     # `draws_for_budget` stays exported, by ``__init__.py``, for the
     # benchmark only
     assert "draws_for_budget" not in _named(path.read_text())
+
+
+def test_only_the_study_dispatch_names_nested_allocation():
+    # `experiment.run_estimator` is the one place a budget becomes a nested
+    # split, for the study and the bit dump alike; `estimators.py`, which
+    # defines the split, may use it too
+    sources = [*LIBRARY_SOURCES, *sorted((ROOT / "scripts").glob("*.py"))]
+    sources = [p for p in sources if p.name != "estimators.py"]
+    naming = {p.name for p in sources if "nested_allocation" in _named(p.read_text())}
+    assert naming == {"experiment.py"}
 
 
 # numpy's bit generators and seeding entry points; `RngStream.generator` is
